@@ -8,7 +8,8 @@ artifacts.  The environment variable EGYFRAC_OUT_DIR overrides the
 output root for experiment artifacts.
 
 Exit codes: 0 success / witness found, 1 exhausted with no witness,
-2 node budget exceeded, 3 resource limits, 64 unparsable input.
+2 node budget exceeded, 3 resource limits or a refused float count,
+64 unparsable input.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from .errors import (
     DomainError,
     InconclusiveError,
     InfeasibleError,
+    NumericalInstabilityError,
     RangeError,
     ResourceLimitError,
 )
@@ -155,7 +157,7 @@ def cmd_fourier(args) -> int:
     try:
         diag = arc_classify(A, args.k, width, lcm_bound=args.lcm_bound, threads=args.threads)
         exact = count_integral(A, args.k)
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, NumericalInstabilityError) as exc:
         return _fail(str(exc), EXIT_RESOURCE)
     except DomainError as exc:
         return _fail(str(exc), EXIT_USAGE)
@@ -341,14 +343,18 @@ def _experiment_prune_demo(args, root: Path) -> int:
         stage["trace"] = trace.to_json_dict()
         L = lcm_set(current)
         if 0 < L <= args.lcm_bound and len(current) > 0:
-            diag = arc_classify(
-                current, d, (args.lo / 2), lcm_bound=args.lcm_bound, threads=args.threads
-            )
-            stage["fourier"] = {
-                "rounded": diag.rounded,
-                "consistent": diag.rounded == count_integral(current, d),
-                "minor_weight_sum": diag.minor_weight_sum,
-            }
+            try:
+                diag = arc_classify(
+                    current, d, (args.lo / 2), lcm_bound=args.lcm_bound, threads=args.threads
+                )
+            except NumericalInstabilityError as exc:
+                stage["fourier"] = f"skipped: {exc}"
+            else:
+                stage["fourier"] = {
+                    "rounded": diag.rounded,
+                    "consistent": diag.rounded == count_integral(current, d),
+                    "minor_weight_sum": diag.minor_weight_sum,
+                }
         else:
             stage["fourier"] = f"skipped: lcm {L} exceeds bound {args.lcm_bound}"
         stages.append(stage)

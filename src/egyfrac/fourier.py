@@ -9,6 +9,16 @@ in floating point (the exact residue DP in the solver module is the
 correctness anchor), classifies frequencies h into major and minor arcs
 by their distance to multiples of L/k, and reports the damping weights
 C(A; h) = prod |cos(pi k h / n)| that control the minor-arc mass.
+
+Factors and weights depend on h only through (k h) mod n, so each element
+n gets one table of its n values, gathered per h: sum(A) exp/cos calls in
+place of |A| * L.  A count is refused before any product is formed when its
+a-priori error bound 18 m 2^m u (u = 2^-53, m = |A|) reaches 1/4: m >= 42.
+A table entry 1 + e(j/n) is within 23u of exact (three roundings in the phase,
+< 2 pi 3u; 1 ulp in cos and in sin; one in adding 1.0), a complex product adds
+relative error sqrt(5)u, so m factors of modulus <= 2 are off by < 13.8 m 2^m u,
+and the exactly rounded sums and the division by L add 3 2^m u: 18 covers the
+resulting 17 m 2^m u with its second-order terms.
 """
 from __future__ import annotations
 
@@ -26,6 +36,7 @@ from .decomposition import ppowers_in_set, subset_aq
 
 DEFAULT_LCM_BOUND = 10**6
 _CHUNK = 1 << 17
+_ERROR_C = 18  # the constant of the a-priori error bound, derived in the docstring
 
 
 @dataclass(frozen=True)
@@ -82,16 +93,20 @@ class IntervalReport:
 
 
 def _h_values(L: int) -> np.ndarray:
-    lo = -(L // 2) + (1 if L % 2 == 0 else 0)
-    return np.arange(lo, L // 2 + 1, dtype=np.int64)
+    return np.arange(-((L - 1) // 2), L // 2 + 1, dtype=np.int64)
 
 
-def _term_products(elems: list[int], k: int, hs: np.ndarray) -> np.ndarray:
-    prod = np.ones(len(hs), dtype=np.complex128)
-    for n in elems:
-        # reduce the phase with exact integer arithmetic before dividing
-        theta = ((k * hs) % n) / n
-        prod *= 1.0 + np.exp((2j * np.pi) * theta)
+def _cos_table(n: int) -> np.ndarray:
+    """|cos(pi j / n)| at j = min(i, n - i) for i < n, and 0 where 2j = n."""
+    j = np.minimum(np.arange(n), n - np.arange(n))
+    return np.where(2 * j == n, 0.0, np.abs(np.cos(np.pi * j / n)))
+
+
+def _gathered_product(tables: list[np.ndarray], kh: np.ndarray, dtype) -> np.ndarray:
+    """Product over the tables t of t[kh mod len(t)], elementwise in kh."""
+    prod = np.ones(len(kh), dtype=dtype)
+    for table in tables:
+        prod *= table[kh % len(table)]
     return prod
 
 
@@ -116,22 +131,20 @@ def orthogonality_sum(
         raise ResourceLimitError(f"lcm {L} exceeds the configured bound {lcm_bound}")
     if k * L > 2**62:
         raise ResourceLimitError("k * lcm too large for exact 64-bit phase reduction")
-    elems = list(A.elements)
+    roots = [1.0 + np.exp((2j * np.pi) * (np.arange(n) / n)) for n in A]  # 1 + e(j/n), j < n
     hs = _h_values(L)
     chunks = [hs[i : i + _CHUNK] for i in range(0, len(hs), _CHUNK)]
 
     def chunk_sums(chunk: np.ndarray) -> tuple[float, float]:
-        prod = _term_products(elems, k, chunk)
-        return math.fsum(prod.real), math.fsum(prod.imag)
+        prod = _gathered_product(roots, k * chunk, np.complex128)
+        return math.fsum(prod.real.tolist()), math.fsum(prod.imag.tolist())
 
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(chunk_sums, chunks))
     else:
         partials = [chunk_sums(c) for c in chunks]
-    re = math.fsum(p[0] for p in partials)
-    im = math.fsum(p[1] for p in partials)
-    return re, im, L
+    return math.fsum(p[0] for p in partials), math.fsum(p[1] for p in partials), L
 
 
 def fourier_count(
@@ -143,17 +156,19 @@ def fourier_count(
 ) -> tuple[float, int]:
     """Count subsets with integral k * recip_sum via the orthogonality sum.
 
-    Returns (value, rounded).  The imaginary part must vanish and the
-    real part must sit within 0.25 of an integer, otherwise the float
-    evaluation is declared unstable.
+    Returns (value, rounded).  Raises NumericalInstabilityError before summing
+    when the a-priori error bound reaches 1/4 (|A| >= 42), and after it unless
+    the value is within 0.25 of an integer and the imaginary part of 0.
     """
+    A = as_intset(A)
+    m = len(A)
+    if _ERROR_C * m * 2**m >= 2**51:  # the bound reaches 1/4 = 2^51 u
+        raise NumericalInstabilityError(f"{m} elements: float error bound {_ERROR_C}*{m}*2^({m}-53) >= 1/4")
     re, im, L = orthogonality_sum(A, k, lcm_bound=lcm_bound, threads=threads)
     value = re / L
     rounded = round(value)
     if abs(value - rounded) > 0.25 or abs(im / L) > 0.25:
-        raise NumericalInstabilityError(
-            f"orthogonality sum {value!r} (imag {im / L!r}) is not close to an integer"
-        )
+        raise NumericalInstabilityError(f"orthogonality sum {value!r} (imag {im / L!r}) is not an integer")
     return value, rounded
 
 
@@ -182,40 +197,25 @@ def arc_classify(
     A = as_intset(A)
     if K < 0:
         raise DomainError("arc radius K must be >= 0")
-    re, im, L = orthogonality_sum(A, k, lcm_bound=lcm_bound, threads=threads)
-    value = re / L
-    rounded = round(value)
-    if abs(value - rounded) > 0.25 or abs(im / L) > 0.25:
-        raise NumericalInstabilityError(
-            f"orthogonality sum {value!r} (imag {im / L!r}) is not close to an integer"
-        )
+    value, rounded = fourier_count(A, k, lcm_bound=lcm_bound, threads=threads)
+    L = lcm_set(A)
     hs = _h_values(L)
     hs = hs[hs != 0]
+    kh = k * hs
     # distance from k*h to the nearest multiple of L, exactly in integers
-    r = (k * hs) % L
-    dist = np.minimum(r, L - r)
-    major_mask = 2 * dist <= K
-    weights_arr = np.ones(len(hs))
-    for n in A:
-        rn = (k * hs) % n
-        rn = np.minimum(rn, n - rn)
-        factor = np.abs(np.cos(np.pi * rn / n))
-        factor[2 * rn == n] = 0.0
-        weights_arr *= factor
-    major_hs = tuple(int(h) for h in hs[major_mask])
-    minor_hs = tuple(int(h) for h in hs[~major_mask])
-    minor_weight_sum = math.fsum(weights_arr[~major_mask])
-    weights = {int(h): float(w) for h, w in zip(hs, weights_arr)}
+    r = kh % L
+    major_mask = 2 * np.minimum(r, L - r) <= K
+    weights_arr = _gathered_product([_cos_table(n) for n in A], kh, np.float64)
     return ArcDiagnostics(
         L=L,
         k=k,
         K=K,
-        major_hs=major_hs,
-        minor_hs=minor_hs,
-        weights=weights,
+        major_hs=tuple(hs[major_mask].tolist()),
+        minor_hs=tuple(hs[~major_mask].tolist()),
+        weights=dict(zip(hs.tolist(), weights_arr.tolist())),
         fourier_value=value,
         rounded=rounded,
-        minor_weight_sum=minor_weight_sum,
+        minor_weight_sum=math.fsum(weights_arr[~major_mask].tolist()),
     )
 
 

@@ -27,6 +27,11 @@ def random_lcm_capped_set(rng: random.Random, lo: int, hi: int, max_size: int, l
     return IntSet(elems)
 
 
+def divisors_above_one(N: int) -> list[int]:
+    """The divisors of N other than 1, ascending, by trial division."""
+    return [d for d in range(2, N + 1) if N % d == 0]
+
+
 def random_set(rng: random.Random, lo: int, hi: int, max_size: int) -> IntSet:
     size = rng.randint(1, max_size)
     return IntSet(rng.sample(range(lo, hi + 1), min(size, hi - lo + 1)))

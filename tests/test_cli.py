@@ -4,6 +4,7 @@ import json
 import pytest
 
 from egyfrac.cli import main
+from helpers import divisors_above_one
 
 
 @pytest.fixture()
@@ -66,6 +67,13 @@ def test_fourier_resource_exit(tmp_path, capsys):
     f.write_text("\n".join(map(str, [101, 103, 107, 109, 113, 127])) + "\n")
     assert main(["fourier", str(f), "--k", "1"]) == 3
     capsys.readouterr()
+
+
+def test_fourier_refused_count_exit(tmp_path, capsys):
+    f = tmp_path / "divisors.txt"
+    f.write_text("\n".join(map(str, divisors_above_one(720720)[:80])) + "\n")
+    assert main(["fourier", str(f), "--k", "1"]) == 3
+    assert capsys.readouterr().err.startswith("egyfrac: error:")
 
 
 def test_decompose(set_file, capsys):
@@ -141,6 +149,23 @@ def test_experiment_prune_demo(tmp_path, capsys):
     payload = json.loads((tmp_path / "prune_demo_4_60.json").read_text())
     assert payload["stages"], payload
     assert payload["stages"][0]["outcome"] == "pruned"
+    capsys.readouterr()
+
+
+def test_experiment_prune_demo_records_refused_stage(tmp_path, capsys):
+    # every pruned stage keeps 42 or more elements, beyond what the float sum
+    # can certify, and the huge lcm bound lets each one reach the counter
+    rc = main(
+        ["experiment", "prune-demo", "--lo", "4", "--hi", "150", "--y", "1", "--z", "12",
+         "--lcm-bound", str(10**30), "--out-dir", str(tmp_path)]
+    )
+    assert rc == 0
+    payload = json.loads((tmp_path / "prune_demo_4_150.json").read_text())
+    pruned = [st for st in payload["stages"] if st["outcome"] == "pruned"]
+    assert pruned
+    for st in pruned:
+        assert len(st["trace"]["final"]) >= 42
+        assert st["fourier"].startswith("skipped: "), st["fourier"]
     capsys.readouterr()
 
 

@@ -2,11 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import egyfrac.fourier
 from egyfrac import (
     DomainError,
     IntSet,
+    NumericalInstabilityError,
     ResourceLimitError,
     arc_classify,
     cosine_weight,
@@ -17,7 +20,7 @@ from egyfrac import (
     orthogonality_sum,
     recip_sum,
 )
-from helpers import random_lcm_capped_set
+from helpers import divisors_above_one, random_lcm_capped_set
 
 
 def test_fourier_count_examples():
@@ -46,6 +49,69 @@ def test_fourier_threads_deterministic():
     r1 = orthogonality_sum(A, 2, threads=1)
     r4 = orthogonality_sum(A, 2, threads=4)
     assert r1 == r4
+
+
+def test_fourier_refuses_counts_beyond_float_precision():
+    # the 70 smallest divisors of 55440 have 21295621930005136 subsets with an
+    # integral reciprocal sum, beyond 2^53: summed in floats it rounds to ...132
+    with pytest.raises(NumericalInstabilityError):
+        fourier_count(divisors_above_one(55440)[:70], 1)
+    with pytest.raises(NumericalInstabilityError):
+        arc_classify(divisors_above_one(55440)[:70], 1, 1.0)
+
+
+def test_fourier_refuses_before_forming_products(monkeypatch):
+    def kernel_called(*args, **kwargs):
+        raise AssertionError("the product kernel ran on a set the error bound refuses")
+
+    monkeypatch.setattr(egyfrac.fourier, "_gathered_product", kernel_called)
+    with pytest.raises(NumericalInstabilityError):
+        fourier_count(divisors_above_one(720720)[:80], 1)
+    with pytest.raises(NumericalInstabilityError):
+        arc_classify(divisors_above_one(720720)[:80], 1, 1.0)
+
+
+def _reference_sum(A, k):
+    """The orthogonality sum with one complex exp per element and frequency."""
+    L = lcm_set(A)
+    hs = np.arange(-((L - 1) // 2), L // 2 + 1, dtype=np.int64)
+    partials = []
+    for i in range(0, len(hs), egyfrac.fourier._CHUNK):
+        chunk = hs[i : i + egyfrac.fourier._CHUNK]
+        prod = np.ones(len(chunk), dtype=np.complex128)
+        for n in A:
+            prod *= 1.0 + np.exp((2j * np.pi) * (((k * chunk) % n) / n))
+        partials.append((math.fsum(prod.real), math.fsum(prod.imag)))
+    return math.fsum(p[0] for p in partials), math.fsum(p[1] for p in partials), L
+
+
+def _reference_weights(A, k):
+    """C(A; h) for every nonzero frequency, one cosine per element and frequency."""
+    L = lcm_set(A)
+    hs = np.arange(-((L - 1) // 2), L // 2 + 1, dtype=np.int64)
+    hs = hs[hs != 0]
+    weights = np.ones(len(hs))
+    for n in A:
+        rn = (k * hs) % n
+        rn = np.minimum(rn, n - rn)
+        factor = np.abs(np.cos(np.pi * rn / n))
+        factor[2 * rn == n] = 0.0
+        weights *= factor
+    return {int(h): float(w) for h, w in zip(hs, weights)}
+
+
+def test_table_kernel_matches_per_frequency_formula_bitwise():
+    rng = random.Random(47)
+    for i in range(20):
+        # two sets span several chunks, so the threaded path is pinned too
+        cap = 4 * 10**5 if i < 2 else 2 * 10**4
+        A = random_lcm_capped_set(rng, 2, 80, 16, cap)
+        k = rng.choice([1, 2, 3])
+        want = _reference_sum(A, k)
+        assert orthogonality_sum(A, k, threads=1) == want, (A, k)
+        assert orthogonality_sum(A, k, threads=2) == want, (A, k)
+        if want[2] <= 2 * 10**4:
+            assert arc_classify(A, k, 2.0).weights == _reference_weights(A, k), (A, k)
 
 
 def test_fourier_resource_error():
