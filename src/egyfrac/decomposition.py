@@ -98,12 +98,6 @@ class Decomposition:
     qset: IntSet
     parts: Mapping[int, IntSet]
 
-    def masses(self) -> dict[int, Fraction]:
-        return {
-            q: fraction_sum((q, n) for n in members)
-            for q, members in self.parts.items()
-        }
-
     def to_json_dict(self) -> dict:
         return {
             "base": list(self.base),

@@ -2,63 +2,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, RangeError
-from .rational import IntSet, fraction_sum
+from .rational import IntSet, balanced_merge, fraction_sum
 from .sieve import FactorTable, exact_prime_powers, omega
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Threshold bundle for the three element filters.
-
-    y..z is the small-divisor-pair window, smooth_bound caps exact
-    prime-power divisors, and [omega_lo, omega_hi] brackets the number of
-    distinct prime factors.
-    """
-
-    smooth_bound: float
-    y: float
-    z: float
-    omega_lo: float
-    omega_hi: float
-
-    def __post_init__(self):
-        if not 1 <= self.y <= self.z:
-            raise DomainError(f"need 1 <= y <= z, got y={self.y}, z={self.z}")
-        if self.omega_lo > self.omega_hi:
-            raise DomainError("omega_lo must not exceed omega_hi")
-        if self.smooth_bound < 2:
-            raise DomainError("smooth_bound must be >= 2")
-
-    @classmethod
-    def for_scale(cls, N: int) -> "FilterSpec":
-        """Named preset with thresholds tied to N via natural logarithms.
-
-        y = 1, z = (ln N)^(1/500), smoothness cap N^(1 - 6/ln ln N), and
-        omega window [0.99 ln ln N, 2 ln ln N].  At desk-scale N the
-        smoothness exponent is negative, so the cap is clamped to 2 (the
-        smallest value admitting any integer at all).
-        """
-        if N < 16:
-            raise DomainError("preset needs N >= 16 so that ln ln N > 0")
-        ll = math.log(math.log(N))
-        return cls(
-            smooth_bound=max(2.0, N ** (1 - 6 / ll)),
-            y=1.0,
-            z=math.log(N) ** (1 / 500),
-            omega_lo=0.99 * ll,
-            omega_hi=2 * ll,
-        )
-
-    def admits(self, n: int, t: FactorTable) -> bool:
-        return (
-            passes_smoothness(n, self.smooth_bound, t)
-            and has_divisor_pair(n, self.y, self.z)
-            and omega_in_range(n, self.omega_lo, self.omega_hi, t)
-        )
 
 
 def passes_smoothness(n: int, bound: float, t: FactorTable) -> bool:
@@ -66,7 +14,7 @@ def passes_smoothness(n: int, bound: float, t: FactorTable) -> bool:
     return all(q <= bound for q in exact_prime_powers(n, t))
 
 
-def has_divisor_pair(n: int, y: float, z: float, t: FactorTable | None = None) -> bool:
+def has_divisor_pair(n: int, y: float, z: float) -> bool:
     """True iff n has divisors d1, d2 with y <= d1 and 4*d1 <= d2 <= z.
 
     Only divisors <= z matter (d2 <= z forces d1 <= z/4), so the scan is
@@ -154,16 +102,5 @@ def mertens_product(X: int, t: FactorTable) -> Fraction:
     if X > t.bound:
         raise RangeError(f"X={X} exceeds table bound {t.bound}")
     terms = [(p, p - 1) for p in t.primes_between(2, X)]
-    if not terms:
-        return Fraction(1)
-    # balanced pairwise products keep the big-integer operands similar in size
-    while len(terms) > 1:
-        merged = []
-        for i in range(0, len(terms) - 1, 2):
-            a, b = terms[i]
-            c, d = terms[i + 1]
-            merged.append((a * c, b * d))
-        if len(terms) % 2:
-            merged.append(terms[-1])
-        terms = merged
-    return Fraction(*terms[0])
+    num, den = balanced_merge(terms, lambda x, y: (x[0] * y[0], x[1] * y[1]), (1, 1))
+    return Fraction(num, den)

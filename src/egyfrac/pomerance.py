@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError, InconclusiveError, RangeError
-from .rational import IntSet, SetLike, as_intset, fraction_sum, recip_sum
+from .rational import IntSet, SetLike, as_intset, format_rational, fraction_sum, recip_sum
 from .sieve import FactorTable, largest_prime
 from .solver import SolverConfig, SolverStatus, Strategy, find_subset
 
@@ -33,7 +33,7 @@ class PomeranceReport:
             "C": self.C,
             "size": len(self.members),
             "members": list(self.members),
-            "recip": f"{self.recip.numerator}/{self.recip.denominator}",
+            "recip": format_rational(self.recip),
             "recip_float": float(self.recip),
             "verified_free": self.verified_free,
             "verify_budget": self.verify_budget,

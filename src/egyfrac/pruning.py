@@ -9,11 +9,12 @@ element.  All comparisons are exact rationals.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InfeasibleError
-from .rational import IntSet, SetLike, as_intset, recip_sum
+from .rational import IntSet, SetLike, as_intset, format_rational, recip_sum
 from .sieve import FactorTable, exact_prime_powers
 
 
@@ -37,19 +38,70 @@ class PruneTrace:
             "removed_qs": list(self.removed_qs),
             "removed_elements": list(self.removed_elements),
             "final": list(self.final),
-            "r_initial": f"{self.r_initial.numerator}/{self.r_initial.denominator}",
-            "r_final": f"{self.r_final.numerator}/{self.r_final.denominator}",
+            "r_initial": format_rational(self.r_initial),
+            "r_final": format_rational(self.r_final),
         }
 
 
-def _class_map(elems, t: FactorTable) -> tuple[dict[int, set[int]], dict[int, Fraction]]:
-    classes: dict[int, set[int]] = {}
-    masses: dict[int, Fraction] = {}
-    for n in elems:
-        for q in exact_prime_powers(n, t):
-            classes.setdefault(q, set()).add(n)
-            masses[q] = masses.get(q, Fraction(0)) + Fraction(q, n)
-    return classes, masses
+class _ClassIndex:
+    """The prime-power classes of a shrinking set, with their exact masses.
+
+    ppowers maps each element of the set to its exact prime powers.  A
+    class is light when its mass is below theta.  Masses only fall as
+    elements leave, so a light class stays light until it empties; the
+    light heap therefore holds every light class, plus emptied ones that
+    are skipped when they reach the top.  One removal costs O(omega(n)).
+    """
+
+    def __init__(self, A: IntSet, theta: Fraction, t: FactorTable):
+        if A and A.elements[0] < 2:
+            raise DomainError("elements must be >= 2")
+        self.theta = theta
+        self.ppowers = {n: exact_prime_powers(n, t) for n in A}
+        self.classes: dict[int, set[int]] = {}
+        self.masses: dict[int, Fraction] = {}
+        for n, qs in self.ppowers.items():
+            for q in qs:
+                self.classes.setdefault(q, set()).add(n)
+                self.masses[q] = self.masses.get(q, Fraction(0)) + Fraction(q, n)
+        self.light = [q for q, m in self.masses.items() if m < theta]
+        heapq.heapify(self.light)
+
+    def remove(self, n: int) -> None:
+        for q in self.ppowers.pop(n):
+            cls = self.classes[q]
+            cls.remove(n)
+            if not cls:
+                del self.classes[q], self.masses[q]
+                continue
+            old = self.masses[q]
+            self.masses[q] = new = old - Fraction(q, n)
+            if new < self.theta <= old:
+                heapq.heappush(self.light, q)
+
+    def smallest_light(self) -> int | None:
+        """The smallest prime power whose class is light, or None."""
+        while self.light and self.light[0] not in self.classes:
+            heapq.heappop(self.light)
+        return self.light[0] if self.light else None
+
+    def prune(self) -> tuple[list[int], list[int]]:
+        """Delete the light class of the smallest prime power until none is light.
+
+        Returns the deleted prime powers and elements in removal order.
+        The result is the largest subset whose classes all weigh at least
+        theta, whatever the order: an element of a light class belongs to
+        no such subset, since a subset's masses are at most the set's.
+        """
+        removed_qs: list[int] = []
+        removed_elements: list[int] = []
+        while (q := self.smallest_light()) is not None:
+            victims = sorted(self.classes[q])
+            removed_qs.append(q)
+            removed_elements.extend(victims)
+            for n in victims:
+                self.remove(n)
+        return removed_qs, removed_elements
 
 
 def prune_ppower(A: SetLike, theta, t: FactorTable) -> PruneTrace:
@@ -64,36 +116,14 @@ def prune_ppower(A: SetLike, theta, t: FactorTable) -> PruneTrace:
     theta = Fraction(theta)
     if theta < 0:
         raise DomainError("theta must be >= 0")
-    if A and A.elements[0] < 2:
-        raise DomainError("elements must be >= 2")
-    r_initial = recip_sum(A)
-    classes, masses = _class_map(A, t)
-    remaining = set(A.elements)
-    removed_qs: list[int] = []
-    removed_elements: list[int] = []
-    while True:
-        failing = [q for q, m in masses.items() if m < theta]
-        if not failing:
-            break
-        q0 = min(failing)
-        victims = sorted(classes[q0])
-        removed_qs.append(q0)
-        removed_elements.extend(victims)
-        for n in victims:
-            remaining.discard(n)
-            for q in exact_prime_powers(n, t):
-                classes[q].discard(n)
-                if classes[q]:
-                    masses[q] -= Fraction(q, n)
-                else:
-                    del classes[q]
-                    del masses[q]
-    final = IntSet(remaining)
+    index = _ClassIndex(A, theta, t)
+    removed_qs, removed_elements = index.prune()
+    final = IntSet(index.ppowers)
     return PruneTrace(
         removed_qs=tuple(removed_qs),
         removed_elements=tuple(removed_elements),
         final=final,
-        r_initial=r_initial,
+        r_initial=recip_sum(A),
         r_final=recip_sum(final),
     )
 
@@ -107,7 +137,13 @@ def prune_to_window(A: SetLike, alpha, theta, M: int, t: FactorTable) -> PruneTr
     the window on normal exit.  With theta > 0 every prime power of A
     must satisfy q <= M * theta, and the per-class floor
     mass(D; q) >= theta is re-checked after every removal; theta = 0
-    disables the floor entirely and gives a pure window trimmer.
+    disables the floor entirely (no mass is below 0) and gives a pure
+    window trimmer.
+
+    The pre-prune of W is its largest subset core(W) whose classes all
+    weigh at least 2*theta, and core(W - {x}) = core(core(W) - {x}), so
+    one index over the core is carried from step to step next to one over
+    the working set, and neither is rebuilt.
     """
     A = as_intset(A)
     alpha = Fraction(alpha)
@@ -122,37 +158,36 @@ def prune_to_window(A: SetLike, alpha, theta, M: int, t: FactorTable) -> PruneTr
     for n in A:
         if not M <= n <= t.bound:
             raise DomainError(f"element {n} outside [{M}, {t.bound}]")
+    working = _ClassIndex(A, theta, t)
     if theta > 0:
-        _, masses = _class_map(A, t)
-        for q in masses:
+        for q in working.classes:
             if q > M * theta:
                 raise DomainError(f"prime power {q} exceeds M*theta = {M * theta}")
-
-    working = list(A.elements)
+    core = _ClassIndex(A, 2 * theta, t)
+    core.prune()
+    order = iter(A.elements)
     r = r_initial
     removed: list[int] = []
     while r >= alpha:
-        survivors = prune_ppower(IntSet(working), 2 * theta, t).final
-        if not survivors:
+        if not core.ppowers:
             raise InfeasibleError(
                 "pre-prune at 2*theta emptied the set while the sum is still >= alpha"
             )
-        x = survivors.elements[0]
+        x = next(n for n in order if n in core.ppowers)
         working.remove(x)
+        core.remove(x)
+        core.prune()
         r -= Fraction(1, x)
         removed.append(x)
-        if theta > 0:
-            _, masses = _class_map(working, t)
-            bad = [q for q, m in masses.items() if m < theta]
-            if bad:
-                raise InfeasibleError(
-                    f"per-class floor theta lost at prime powers {bad} after removing {x}"
-                )
-    final = IntSet(working)
+        if working.smallest_light() is not None:
+            bad = sorted(q for q in working.light if q in working.classes)
+            raise InfeasibleError(
+                f"per-class floor theta lost at prime powers {bad} after removing {x}"
+            )
     return PruneTrace(
         removed_qs=(),
         removed_elements=tuple(removed),
-        final=final,
+        final=IntSet(working.ppowers),
         r_initial=r_initial,
         r_final=r,
     )

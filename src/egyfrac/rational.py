@@ -9,8 +9,9 @@ from __future__ import annotations
 import json
 import math
 import operator
+from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, TypeVar, Union
 
 from .errors import DomainError
 
@@ -18,6 +19,7 @@ from .errors import DomainError
 Rational = Fraction
 
 SetLike = Union["IntSet", Iterable[int]]
+_T = TypeVar("_T")
 
 
 class IntSet:
@@ -64,10 +66,6 @@ class IntSet:
 
     def union(self, other: SetLike) -> "IntSet":
         return IntSet(self.elements + tuple(other))
-
-    def without(self, items: Iterable[int]) -> "IntSet":
-        drop = set(items)
-        return IntSet(x for x in self.elements if x not in drop)
 
     # -- serialization: newline-delimited decimal text and JSON array --
 
@@ -116,27 +114,31 @@ def as_intset(A: SetLike) -> IntSet:
     return A if isinstance(A, IntSet) else IntSet(A)
 
 
-def fraction_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
-    """Exact sum of num/den pairs via balanced pairwise merging.
+def balanced_merge(terms: list[_T], merge: Callable[[_T, _T], _T], empty: _T) -> _T:
+    """Fold terms with an associative merge as a balanced binary tree.
 
-    Pairwise merging keeps operand sizes balanced, so summing many unit
-    fractions stays fast even when the common denominator grows to
-    thousands of digits.  The result is identical to naive left-to-right
-    Fraction accumulation.
+    Neighbours are merged level by level, so the operands of each merge
+    stay similar in size: big-integer products and sums then cost far less
+    than a left-to-right fold, whose accumulator grows at every step.
     """
-    terms = [(n, d) for n, d in pairs]
     if not terms:
-        return Fraction(0)
+        return empty
     while len(terms) > 1:
-        merged = []
-        for i in range(0, len(terms) - 1, 2):
-            a, b = terms[i]
-            c, d = terms[i + 1]
-            merged.append((a * d + c * b, b * d))
+        merged = [merge(terms[i], terms[i + 1]) for i in range(0, len(terms) - 1, 2)]
         if len(terms) % 2:
             merged.append(terms[-1])
         terms = merged
-    return Fraction(*terms[0])
+    return terms[0]
+
+
+def fraction_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """Exact sum of num/den pairs via balanced pairwise merging.
+
+    The result is identical to naive left-to-right Fraction accumulation.
+    """
+    terms = [(n, d) for n, d in pairs]
+    num, den = balanced_merge(terms, lambda x, y: (x[0] * y[1] + y[0] * x[1], x[1] * y[1]), (0, 1))
+    return Fraction(num, den)
 
 
 def recip_sum(A: SetLike) -> Fraction:
@@ -157,6 +159,10 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """Serialize a rational as "num/den" (denominator always present)."""
+    """Serialize a rational as "num/den" (denominator always present).
+
+    The digits go through ``decimal``, which, unlike ``str(int)``, has no
+    4300-digit limit; the text is the same as ``str`` gives below it.
+    """
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"

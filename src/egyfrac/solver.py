@@ -202,20 +202,41 @@ def _find_meet(elems: Sequence[int], target: Fraction, cfg: SolverConfig, nodes:
 # scaled-integer reachability (works in units of 1/lcm)
 
 
-def _find_residue(elems: Sequence[int], target: Fraction, cfg: SolverConfig, nodes: _Nodes) -> SolverResult:
-    L = math.lcm(*elems) if elems else 1
-    if L > cfg.dp_lcm_bound:
-        raise ResourceLimitError(f"lcm {L} exceeds dp_lcm_bound {cfg.dp_lcm_bound}")
+def _scaled(
+    elems: Sequence[int], target: Fraction, lcm_bound: int, sum_bound: int
+) -> Optional[tuple[list[int], int]]:
+    """Scale the problem to integers in units of 1/L, L = lcm(elems).
+
+    Returns the weights L/n and the scaled target T, or None when no subset
+    can reach the target: every subset sum has a denominator dividing L,
+    so T must be an integer, and it cannot exceed the sum of all weights.
+    Raises ResourceLimitError when L or T is past its bound.
+    """
+    L = math.lcm(*elems)
+    if L > lcm_bound:
+        raise ResourceLimitError(f"lcm {L} exceeds dp_lcm_bound {lcm_bound}")
     scaled = target * L
     if scaled.denominator != 1:
-        # subset sums all have denominator dividing L, so no subset can hit
-        return SolverResult(SolverStatus.EXHAUSTED_NONE, None, nodes.count)
+        return None
     T = int(scaled)
     weights = [L // n for n in elems]
     if T > sum(weights):
+        return None
+    if T > sum_bound:
+        raise ResourceLimitError(f"scaled target {T} exceeds dp_sum_bound {sum_bound}")
+    return weights, T
+
+
+def _count_dtype(k: int):
+    # a count of subsets of k elements is below 2^k, so int64 holds it up to k = 62
+    return np.int64 if k <= 62 else object
+
+
+def _find_residue(elems: Sequence[int], target: Fraction, cfg: SolverConfig, nodes: _Nodes) -> SolverResult:
+    scaled = _scaled(elems, target, cfg.dp_lcm_bound, cfg.dp_sum_bound)
+    if scaled is None:
         return SolverResult(SolverStatus.EXHAUSTED_NONE, None, nodes.count)
-    if T > cfg.dp_sum_bound:
-        raise ResourceLimitError(f"scaled target {T} exceeds dp_sum_bound {cfg.dp_sum_bound}")
+    weights, T = scaled
     cap = (1 << (T + 1)) - 1
     k = len(elems)
     reach = [0] * (k + 1)
@@ -242,9 +263,11 @@ def _find_residue(elems: Sequence[int], target: Fraction, cfg: SolverConfig, nod
 
 def _pick_strategy(elems: Sequence[int], target: Fraction, cfg: SolverConfig) -> Strategy:
     if len(elems) >= 24:
-        L = math.lcm(*elems) if elems else 1
-        if L <= cfg.dp_lcm_bound and target * L <= cfg.dp_sum_bound:
-            return Strategy.RESIDUE_DP
+        try:
+            _scaled(elems, target, cfg.dp_lcm_bound, cfg.dp_sum_bound)
+        except ResourceLimitError:
+            return Strategy.DFS_BNB
+        return Strategy.RESIDUE_DP
     return Strategy.DFS_BNB
 
 
@@ -294,38 +317,16 @@ def count_subsets(
         left, right = _alternating_split(elems)
         counts = Counter(s for s, _ in _enumerate_sums(left, None))
         return sum(counts[target - s] for s, _ in _enumerate_sums(right, None))
-    L = math.lcm(*elems) if elems else 1
-    if L > dp_lcm_bound:
-        raise ResourceLimitError(
-            f"|A|={len(elems)} exceeds the exhaustive bound and lcm {L} exceeds {dp_lcm_bound}"
-        )
-    scaled = target * L
-    if scaled.denominator != 1:
+    scaled = _scaled(elems, target, dp_lcm_bound, dp_sum_bound)
+    if scaled is None:
         return 0
-    T = int(scaled)
-    weights = [L // n for n in elems]
-    if T > sum(weights):
-        return 0
-    if T > dp_sum_bound:
-        raise ResourceLimitError(f"scaled target {T} exceeds dp_sum_bound {dp_sum_bound}")
-    return _count_exact_sum(weights, T)
-
-
-def _count_exact_sum(weights: list[int], T: int) -> int:
-    if len(weights) <= 62:
-        # counts bounded by 2^62, safe in int64
-        dp = np.zeros(T + 1, dtype=np.int64)
-        dp[0] = 1
-        for w in weights:
-            if w <= T:
-                dp[w:] = dp[w:] + dp[:-w]
-        return int(dp[T])
-    dp = [0] * (T + 1)
+    weights, T = scaled
+    dp = np.zeros(T + 1, dtype=_count_dtype(len(weights)))
     dp[0] = 1
     for w in weights:
-        for s in range(T, w - 1, -1):
-            dp[s] += dp[s - w]
-    return dp[T]
+        if w <= T:
+            dp[w:] = dp[w:] + dp[:-w]
+    return int(dp[T])
 
 
 def count_integral(
@@ -346,21 +347,13 @@ def count_integral(
     if k < 1:
         raise DomainError("k must be a positive integer")
     elems = list(A.elements)
-    L = math.lcm(*elems) if elems else 1
+    L = math.lcm(*elems)
     if L <= dp_lcm_bound:
-        weights = [(k * (L // n)) % L for n in elems]
-        if len(elems) <= 62:
-            dp = np.zeros(L, dtype=np.int64)
-            dp[0] = 1
-            for w in weights:
-                dp = dp + np.roll(dp, w)
-            return int(dp[0])
-        dp_list = [0] * L
-        dp_list[0] = 1
-        for w in weights:
-            rotated = dp_list[-w:] + dp_list[:-w] if w else dp_list
-            dp_list = [a + b for a, b in zip(dp_list, rotated)]
-        return dp_list[0]
+        dp = np.zeros(L, dtype=_count_dtype(len(elems)))
+        dp[0] = 1
+        for n in elems:
+            dp = dp + np.roll(dp, (k * (L // n)) % L)
+        return int(dp[0])
     if len(elems) <= exhaustive_bound:
         left, right = _alternating_split(elems)
         counts = Counter((k * s) % 1 for s, _ in _enumerate_sums(left, None))

@@ -1,8 +1,11 @@
 import csv
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
+from egyfrac import build_table, mertens_q_sum
 from egyfrac.cli import main
 from helpers import divisors_above_one
 
@@ -96,6 +99,16 @@ def test_experiment_mertens(tmp_path, capsys):
     assert payload["q_sum"].count("/") == 1
     manifest = json.loads((tmp_path / "mertens_100.json.manifest.json").read_text())
     assert manifest["command"] == "experiment mertens"
+    capsys.readouterr()
+
+
+def test_experiment_mertens_past_int_str_limit(tmp_path, capsys):
+    # the exact sum at X = 10^4 has a denominator past str(int)'s 4300-digit limit
+    rc = main(["experiment", "mertens", "--X", "10000", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    num, den = json.loads((tmp_path / "mertens_10000.json").read_text())["q_sum"].split("/")
+    assert len(den) > 4300
+    assert Fraction(int(Decimal(num)), int(Decimal(den))) == mertens_q_sum(10000, build_table(10000))
     capsys.readouterr()
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from egyfrac import (
     DomainError,
-    FilterSpec,
     IntSet,
     RangeError,
     has_divisor_pair,
@@ -147,25 +146,6 @@ def test_mertens_product_tracks_log(small_table):
     for X in (100, 1000, 10_000):
         ratio = float(mertens_product(X, small_table)) / math.log(X)
         assert 1.5 < ratio < 2.1, (X, ratio)
-
-
-def test_filterspec_validation():
-    with pytest.raises(DomainError):
-        FilterSpec(smooth_bound=10, y=3, z=2, omega_lo=0, omega_hi=1)
-    with pytest.raises(DomainError):
-        FilterSpec(smooth_bound=10, y=1, z=2, omega_lo=2, omega_hi=1)
-    with pytest.raises(DomainError):
-        FilterSpec(smooth_bound=1, y=1, z=2, omega_lo=0, omega_hi=1)
-
-
-def test_filterspec_preset(small_table):
-    spec = FilterSpec.for_scale(10_000)
-    assert spec.y == 1.0
-    assert 1.0 < spec.z < 1.01
-    assert spec.smooth_bound == 2.0  # desk-scale clamp
-    assert spec.omega_lo == pytest.approx(0.99 * math.log(math.log(10_000)))
-    assert spec.omega_hi == pytest.approx(2 * math.log(math.log(10_000)))
-    assert isinstance(spec.admits(64, small_table), bool)
 
 
 def test_sieve_density_small(small_table):

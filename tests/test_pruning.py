@@ -7,6 +7,7 @@ from egyfrac import (
     DomainError,
     InfeasibleError,
     IntSet,
+    exact_prime_powers,
     ppowers_in_set,
     prune_ppower,
     prune_to_window,
@@ -99,6 +100,54 @@ def test_prune_to_window_randomized(small_table):
         # removals happen one element at a time, each at least M
         assert all(x >= M for x in tr.removed_elements)
         assert tr.final.union(tr.removed_elements) == A
+
+
+def _prune_to_window_reference(A, alpha, theta, M, t):
+    """The window trimmer re-derived from scratch at every step: the
+    pre-prune reruns prune_ppower at 2*theta on the whole working set, and
+    the floor recomputes every class mass."""
+    working = sorted(A)
+    r = recip_sum(A)
+    removed = []
+    while r >= alpha:
+        survivors = prune_ppower(working, 2 * theta, t).final
+        if not survivors:
+            raise InfeasibleError("pre-prune emptied the set")
+        x = survivors.elements[0]
+        working.remove(x)
+        r -= Fraction(1, x)
+        removed.append(x)
+        if any(rec_sum_q(working, q, t) < theta for q in ppowers_in_set(working, t)):
+            raise InfeasibleError("floor lost")
+    return tuple(removed), IntSet(working), r
+
+
+def _outcome(f, *args):
+    try:
+        tr = f(*args)
+    except InfeasibleError:
+        return "infeasible"
+    return tr if isinstance(tr, tuple) else (tr.removed_elements, tr.final, tr.r_final)
+
+
+def test_prune_to_window_theta_matches_reference(small_table):
+    # M*theta at least every prime power of A, as the precondition asks;
+    # windows just below the full sum leave a run that can succeed
+    rng = random.Random(55)
+    outcomes = []
+    for _ in range(30):
+        M = rng.choice([280, 300, 320])
+        cap = rng.choice([13, 17])
+        theta = Fraction(cap, M)
+        pool = [n for n in range(M, 10 * M) if max(exact_prime_powers(n, small_table)) <= cap]
+        A = IntSet(rng.sample(pool, rng.randint(len(pool) * 19 // 20, len(pool))))
+        alpha = recip_sum(A) - Fraction(rng.randint(0, 8), M)
+        expected = _outcome(_prune_to_window_reference, A, alpha, theta, M, small_table)
+        assert _outcome(prune_to_window, A, alpha, theta, M, small_table) == expected, (A, alpha, theta)
+        outcomes.append(expected)
+    succeeded = [o for o in outcomes if o != "infeasible"]
+    assert len(succeeded) >= 5 and any(len(o[0]) >= 3 for o in succeeded)
+    assert "infeasible" in outcomes
 
 
 def test_prune_trace_json(small_table):

@@ -91,6 +91,8 @@ def test_rational_serialization():
     assert format_rational(Fraction(1)) == "1/1"
     assert format_rational(Fraction(0)) == "0/1"
     assert format_rational(Fraction(77, 60)) == "77/60"
+    big = Fraction(2**14000 + 1, 3**9000)  # 4215 and 4295 digits, just below str(int)'s limit
+    assert format_rational(big) == f"{big.numerator}/{big.denominator}"
     assert parse_rational("77/60") == Fraction(77, 60)
     assert parse_rational("3") == Fraction(3)
     assert parse_rational(format_rational(Fraction(-5, 8))) == Fraction(-5, 8)

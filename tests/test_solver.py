@@ -20,6 +20,7 @@ from egyfrac import (
 from helpers import (
     brute_count_integral,
     brute_subsets_with_sum,
+    divisors_above_one,
     exhaustive_lambda,
     random_lcm_capped_set,
 )
@@ -118,6 +119,16 @@ def test_count_integral_fractional_route_matches_dp():
         via_dp = count_integral(A, k)
         via_parts = count_integral(A, k, dp_lcm_bound=1)
         assert via_dp == via_parts
+
+
+def test_dp_counters_past_62_elements():
+    # a count over 71 elements can pass 2^63, so neither DP may run in int64
+    A = divisors_above_one(10080)
+    assert len(A) == 71
+    assert count_integral(A, 10080) == 2**71  # 10080/n is an integer for every n
+    assert count_integral(A, 1) == 234244397131121236
+    assert count_subsets(A, 0) == 1
+    assert count_subsets(A, recip_sum(A)) == 1
 
 
 def test_count_integral_rejects_bad_k():
