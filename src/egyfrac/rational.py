@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import re
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, TypeVar, Union
@@ -20,6 +21,7 @@ Rational = Fraction
 
 SetLike = Union["IntSet", Iterable[int]]
 _T = TypeVar("_T")
+_RATIONAL = re.compile(r"([-+]?\d+)(?:/(\d+))?")
 
 
 class IntSet:
@@ -154,8 +156,17 @@ def lcm_set(A: SetLike) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or plain integer decimal text into an exact rational."""
-    return Fraction(text.strip())
+    """Parse "p/q" or plain integer decimal text into an exact rational.
+
+    Integer digits go through ``decimal``, as in ``format_rational``, so
+    what that writes reads back at any length; other forms ("0.25",
+    "1e-3") go through ``Fraction``.
+    """
+    text = text.strip()
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        return Fraction(text)
+    return Fraction(int(Decimal(m[1])), int(Decimal(m[2] or 1)))
 
 
 def format_rational(x: Fraction) -> str:

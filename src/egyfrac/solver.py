@@ -4,6 +4,10 @@ Three interchangeable search strategies are provided.  All are exact and
 complete: a "found" result carries a verified witness, an
 "exhausted_none" result certifies that no qualifying subset exists, and
 running out of node budget is reported as a status rather than an error.
+
+The searches and the enumeration counters work in integer units of 1/L,
+L a common multiple of the elements and of the target's denominator: a
+subset sum is then an int, and no Fraction is formed per node.
 """
 from __future__ import annotations
 
@@ -78,62 +82,90 @@ class _Nodes:
             raise _BudgetExhausted
 
 
+def _in_units(elems: Sequence[int], target: Fraction) -> tuple[int, int]:
+    """L = lcm(elems and the target's denominator), and the target in units of 1/L."""
+    L = math.lcm(target.denominator, *elems)
+    return L, target.numerator * (L // target.denominator)
+
+
 # ---------------------------------------------------------------------------
 # depth-first branch and bound
 
 
+def _prime_power_part(L: int, p: int) -> int:
+    """p^v_p(L), the largest power of the prime p dividing L."""
+    q = p
+    while L % (q * p) == 0:
+        q *= p
+    return q
+
+
 def _dfs_search(
-    elems: Sequence[int],
-    target: Fraction,
+    order: Sequence[int],
+    L: int,
+    T: int,
+    factors: dict[int, list[int]],
+    target_primes: Sequence[int],
     nodes: _Nodes,
-    extra_primes: Sequence[int],
 ) -> Optional[tuple[int, ...]]:
-    """Complete DFS over ``elems`` in the given order, include-first.
+    """Complete DFS over ``order``, include-first, in units of 1/L.
 
-    Returns the first qualifying subset in exploration order, or None if
-    none exists.  Two sound cuts are applied: the remaining suffix
-    reciprocal sum must cover the deficit, and every prime left in the
-    deficit's denominator must still divide some remaining element
-    (otherwise it can never cancel).
+    L is a common multiple of the elements and of the target's
+    denominator, so the target is the integer T and element n weighs
+    L/n.  Returns the first qualifying subset in exploration order, or
+    None if none exists.  Two sound cuts are applied: the remaining suffix
+    weight must cover the deficit D, and every prime left in the deficit's
+    denominator must still divide some remaining element (otherwise it can
+    never cancel).  A prime p is in that denominator iff p^v_p(L) does not
+    divide D.  A node's parent has already cleared every prime its own
+    suffix lacks, and the element between them is coprime to those, so
+    each node tests only the primes whose last carrier is the element just
+    decided (at the root, the target's primes no element carries).
+
+    The tree is walked with an explicit stack, so its depth is bounded by
+    nothing but memory.
     """
-    k = len(elems)
-    fracs = [Fraction(1, n) for n in elems]
-    suffix = [Fraction(0)] * (k + 1)
+    k = len(order)
+    weights = [L // n for n in order]
+    suffix = [0] * (k + 1)
     for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + fracs[i]
+        suffix[i] = suffix[i + 1] + weights[i]
+    # dying[i]: the prime powers p^v_p(L) whose prime first goes missing from order[i:]
+    dying: list[list[int]] = [[] for _ in range(k + 1)]
+    last = {p: i + 1 for i, n in enumerate(order) for p in factors[n]}
+    for p in target_primes:
+        last.setdefault(p, 0)
+    for p, i in last.items():
+        dying[i].append(_prime_power_part(L, p))
 
-    factor_lists = [prime_factors(n) for n in elems]
-    all_primes = set(extra_primes)
-    for fs in factor_lists:
-        all_primes.update(fs)
-    supp: set[int] = set()
-    dead: list[tuple[int, ...]] = [()] * (k + 1)
-    dead[k] = tuple(sorted(all_primes))
-    for i in range(k - 1, -1, -1):
-        supp.update(factor_lists[i])
-        dead[i] = tuple(sorted(all_primes - supp))
-
-    def rec(i: int, deficit: Fraction) -> Optional[tuple[int, ...]]:
-        nodes.spend()
-        if deficit == 0:
-            return ()
-        if i == k or suffix[i] < deficit:
-            return None
-        den = deficit.denominator
-        if den > 1:
-            for p in dead[i]:
-                if den % p == 0:
-                    return None
-        if fracs[i] <= deficit:
-            found = rec(i + 1, deficit - fracs[i])
-            if found is not None:
-                return (elems[i],) + found
-        return rec(i + 1, deficit)
-
-    return rec(0, target)
+    chosen = [False] * k
+    stack = [(0, T, False)]
+    count, limit = nodes.count, nodes.limit
+    while stack:
+        i, D, included = stack.pop()
+        count += 1
+        if count > limit:
+            nodes.count = count
+            raise _BudgetExhausted
+        if i:
+            chosen[i - 1] = included
+        if D == 0:
+            nodes.count = count
+            return tuple(order[j] for j in range(i) if chosen[j])
+        if i == k or suffix[i] < D:
+            continue
+        for q in dying[i]:
+            if D % q:
+                break
+        else:
+            stack.append((i + 1, D, False))
+            if weights[i] <= D:
+                stack.append((i + 1, D - weights[i], True))
+    nodes.count = count
+    return None
 
 
-def _grouped_order(elems: Sequence[int]) -> list[int]:
+def _grouped_order(elems: Sequence[int], factors: dict[int, list[int]]) -> list[int]:
     """Order elements so that all multiples of each largest prime sit together.
 
     Exhaustion proofs resolve one prime at a time: once the last element
@@ -141,18 +173,20 @@ def _grouped_order(elems: Sequence[int]) -> list[int]:
     deficit still involves that prime is cut.  Grouping makes those spans
     as short as possible.
     """
-    return sorted(elems, key=lambda n: (-prime_factors(n)[-1] if n > 1 else -1, n))
+    return sorted(elems, key=lambda n: (-factors[n][-1] if n > 1 else -1, n))
 
 
 def _find_dfs(elems: Sequence[int], target: Fraction, cfg: SolverConfig, nodes: _Nodes) -> SolverResult:
-    extra = prime_factors(target.denominator)
-    witness = _dfs_search(_grouped_order(elems), target, nodes, extra)
+    factors = {n: prime_factors(n) for n in elems}
+    target_primes = prime_factors(target.denominator)
+    L, T = _in_units(elems, target)
+    witness = _dfs_search(_grouped_order(elems, factors), L, T, factors, target_primes, nodes)
     if witness is None:
         return SolverResult(SolverStatus.EXHAUSTED_NONE, None, nodes.count)
     if cfg.deterministic:
         # re-search in ascending element order: include-first DFS then
         # yields the lexicographically smallest qualifying subset
-        witness = _dfs_search(list(elems), target, nodes, extra)
+        witness = _dfs_search(elems, L, T, factors, target_primes, nodes)
         assert witness is not None
     return SolverResult(SolverStatus.FOUND, IntSet(witness), nodes.count)
 
@@ -166,14 +200,22 @@ def _alternating_split(elems: Sequence[int]) -> tuple[list[int], list[int]]:
     return list(elems[0::2]), list(elems[1::2])
 
 
-def _enumerate_sums(half: Sequence[int], nodes: Optional[_Nodes]) -> list[tuple[Fraction, tuple[int, ...]]]:
-    out: list[tuple[Fraction, tuple[int, ...]]] = [(Fraction(0), ())]
+def _enumerate_sums(half: Sequence[int], L: int, nodes: Optional[_Nodes]) -> list[int]:
+    """All 2^|half| subset sums in units of 1/L (L a multiple of each element).
+
+    Entry j is the sum over the subset {half[t] : bit t of j is set}.
+    """
+    out = [0]
     for n in half:
-        f = Fraction(1, n)
-        out += [(s + f, subset + (n,)) for s, subset in out]
+        w = L // n
+        out += [s + w for s in out]
         if nodes is not None:
             nodes.spend(len(out) // 2)
     return out
+
+
+def _subset(half: Sequence[int], j: int) -> tuple[int, ...]:
+    return tuple(n for t, n in enumerate(half) if j >> t & 1)
 
 
 def _find_meet(elems: Sequence[int], target: Fraction, cfg: SolverConfig, nodes: _Nodes) -> SolverResult:
@@ -181,14 +223,14 @@ def _find_meet(elems: Sequence[int], target: Fraction, cfg: SolverConfig, nodes:
     if 2 ** len(left) + 2 ** len(right) > cfg.node_budget:
         nodes.count = cfg.node_budget
         return SolverResult(SolverStatus.BUDGET_EXCEEDED, None, nodes.count)
-    left_sums: dict[Fraction, list[tuple[int, ...]]] = {}
-    for s, subset in _enumerate_sums(left, nodes):
-        left_sums.setdefault(s, []).append(subset)
+    L, T = _in_units(elems, target)
+    left_sums: dict[int, list[int]] = {}
+    for j, s in enumerate(_enumerate_sums(left, L, nodes)):
+        left_sums.setdefault(s, []).append(j)
     best: Optional[tuple[int, ...]] = None
-    for s, rsub in _enumerate_sums(right, nodes):
-        need = target - s
-        for lsub in left_sums.get(need, ()):
-            candidate = tuple(sorted(lsub + rsub))
+    for jr, s in enumerate(_enumerate_sums(right, L, nodes)):
+        for jl in left_sums.get(T - s, ()):
+            candidate = tuple(sorted(_subset(left, jl) + _subset(right, jr)))
             if not cfg.deterministic:
                 return SolverResult(SolverStatus.FOUND, IntSet(candidate), nodes.count)
             if best is None or candidate < best:
@@ -232,8 +274,9 @@ def _count_dtype(k: int):
     return np.int64 if k <= 62 else object
 
 
-def _find_residue(elems: Sequence[int], target: Fraction, cfg: SolverConfig, nodes: _Nodes) -> SolverResult:
-    scaled = _scaled(elems, target, cfg.dp_lcm_bound, cfg.dp_sum_bound)
+def _find_residue(
+    elems: Sequence[int], scaled: Optional[tuple[list[int], int]], nodes: _Nodes
+) -> SolverResult:
     if scaled is None:
         return SolverResult(SolverStatus.EXHAUSTED_NONE, None, nodes.count)
     weights, T = scaled
@@ -261,14 +304,16 @@ def _find_residue(elems: Sequence[int], target: Fraction, cfg: SolverConfig, nod
 # public entry points
 
 
-def _pick_strategy(elems: Sequence[int], target: Fraction, cfg: SolverConfig) -> Strategy:
+def _pick_strategy(
+    elems: Sequence[int], target: Fraction, cfg: SolverConfig
+) -> tuple[Strategy, Optional[tuple[list[int], int]]]:
+    """The strategy ``auto`` runs, with the residue DP's ``_scaled`` result when it picks that."""
     if len(elems) >= 24:
         try:
-            _scaled(elems, target, cfg.dp_lcm_bound, cfg.dp_sum_bound)
+            return Strategy.RESIDUE_DP, _scaled(elems, target, cfg.dp_lcm_bound, cfg.dp_sum_bound)
         except ResourceLimitError:
-            return Strategy.DFS_BNB
-        return Strategy.RESIDUE_DP
-    return Strategy.DFS_BNB
+            pass
+    return Strategy.DFS_BNB, None
 
 
 def find_subset(A: SetLike, target, cfg: SolverConfig = SolverConfig()) -> SolverResult:
@@ -283,9 +328,11 @@ def find_subset(A: SetLike, target, cfg: SolverConfig = SolverConfig()) -> Solve
     if target < 0:
         raise DomainError("target must be >= 0")
     elems = list(A.elements)
-    strategy = cfg.strategy
+    strategy, scaled = cfg.strategy, None
     if strategy == Strategy.AUTO:
-        strategy = _pick_strategy(elems, target, cfg)
+        strategy, scaled = _pick_strategy(elems, target, cfg)
+    elif strategy == Strategy.RESIDUE_DP:
+        scaled = _scaled(elems, target, cfg.dp_lcm_bound, cfg.dp_sum_bound)
     nodes = _Nodes(cfg.node_budget)
     try:
         if strategy == Strategy.DFS_BNB:
@@ -293,7 +340,7 @@ def find_subset(A: SetLike, target, cfg: SolverConfig = SolverConfig()) -> Solve
         if strategy == Strategy.MEET_MIDDLE:
             return _find_meet(elems, target, cfg, nodes)
         if strategy == Strategy.RESIDUE_DP:
-            return _find_residue(elems, target, cfg, nodes)
+            return _find_residue(elems, scaled, nodes)
     except _BudgetExhausted:
         return SolverResult(SolverStatus.BUDGET_EXCEEDED, None, nodes.count)
     raise DomainError(f"unknown strategy {cfg.strategy!r}")
@@ -315,8 +362,9 @@ def count_subsets(
     elems = list(A.elements)
     if len(elems) <= exhaustive_bound:
         left, right = _alternating_split(elems)
-        counts = Counter(s for s, _ in _enumerate_sums(left, None))
-        return sum(counts[target - s] for s, _ in _enumerate_sums(right, None))
+        L, T = _in_units(elems, target)
+        counts = Counter(_enumerate_sums(left, L, None))
+        return sum(counts[T - s] for s in _enumerate_sums(right, L, None))
     scaled = _scaled(elems, target, dp_lcm_bound, dp_sum_bound)
     if scaled is None:
         return 0
@@ -340,8 +388,8 @@ def count_integral(
 
     Computed by dynamic programming over residues of k*(L/n) modulo
     L = lcm(A); the residue-0 count is exact.  Falls back to meet-in-the-
-    middle over fractional parts when the lcm is out of range but the set
-    is small.
+    middle over subset sums in units of 1/L, taken modulo L, when the lcm
+    is out of range but the set is small.
     """
     A = as_intset(A)
     if k < 1:
@@ -355,9 +403,10 @@ def count_integral(
             dp = dp + np.roll(dp, (k * (L // n)) % L)
         return int(dp[0])
     if len(elems) <= exhaustive_bound:
+        # k * (S_left + S_right) / L is an integer iff k * S_left = -k * S_right (mod L)
         left, right = _alternating_split(elems)
-        counts = Counter((k * s) % 1 for s, _ in _enumerate_sums(left, None))
-        return sum(counts[(-k * s) % 1] for s, _ in _enumerate_sums(right, None))
+        counts = Counter((k * s) % L for s in _enumerate_sums(left, L, None))
+        return sum(counts[(-k * s) % L] for s in _enumerate_sums(right, L, None))
     raise ResourceLimitError(
         f"|A|={len(elems)} exceeds the exhaustive bound and lcm {L} exceeds {dp_lcm_bound}"
     )

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from egyfrac import build_table, mertens_q_sum
+from egyfrac import build_table, format_rational, mertens_q_sum, parse_rational
 from egyfrac.cli import main
 from helpers import divisors_above_one
 
@@ -109,6 +109,16 @@ def test_experiment_mertens_past_int_str_limit(tmp_path, capsys):
     num, den = json.loads((tmp_path / "mertens_10000.json").read_text())["q_sum"].split("/")
     assert len(den) > 4300
     assert Fraction(int(Decimal(num)), int(Decimal(den))) == mertens_q_sum(10000, build_table(10000))
+    capsys.readouterr()
+
+
+def test_parse_rational_round_trips_mertens_q_sum(tmp_path, capsys):
+    # parse_rational used to go through Fraction(str), which refuses more than 4300 digits
+    assert main(["experiment", "mertens", "--X", "10000", "--out-dir", str(tmp_path)]) == 0
+    text = json.loads((tmp_path / "mertens_10000.json").read_text())["q_sum"]
+    value = parse_rational(text)
+    assert value == mertens_q_sum(10000, build_table(10000))
+    assert format_rational(value) == text
     capsys.readouterr()
 
 

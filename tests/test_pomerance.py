@@ -99,3 +99,10 @@ def test_pomerance_solution_free_small(small_table):
         rep = pomerance_set(N, 1, small_table)
         assert verify_solution_free(rep.members, 10**7), N
         assert recip_sum(rep.members) == rep.recip
+
+
+def test_verify_pomerance_3000_without_recursion_limit(small_table):
+    # 1031 members: the recursive search raised RecursionError here
+    members = pomerance_set(3000, 1, small_table).members
+    assert len(members) > 1000
+    assert verify_solution_free(members, 10**6) is True

@@ -17,12 +17,20 @@ from egyfrac import (
     lambda_exact,
     recip_sum,
 )
+from egyfrac import solver
+from egyfrac.sieve import prime_factors
 from helpers import (
+    ReferenceBudgetExhausted,
     brute_count_integral,
     brute_subsets_with_sum,
     divisors_above_one,
     exhaustive_lambda,
     random_lcm_capped_set,
+    reference_count_integral,
+    reference_count_subsets,
+    reference_dfs,
+    reference_find_dfs,
+    reference_find_meet,
 )
 
 ALL_STRATEGIES = [Strategy.DFS_BNB, Strategy.MEET_MIDDLE, Strategy.RESIDUE_DP]
@@ -213,3 +221,83 @@ def test_integral_count_links_to_unit_count():
             continue
         assert count_subsets(A, Fraction(1, k)) == count_integral(A, k) - 1
         checked += 1
+
+
+def test_dfs_deep_input_runs_out_of_budget():
+    # 1498 elements: the recursive search raised RecursionError here
+    res = find_subset(range(2, 1500), 1, SolverConfig(strategy=Strategy.DFS_BNB, node_budget=10**5))
+    assert res.status == SolverStatus.BUDGET_EXCEEDED
+    assert res.nodes_explored == 10**5 + 1
+
+
+# no element is a multiple of 7 or of 16, so targets with 1/7, 1/49 or 1/16 in
+# them carry a prime, or a higher prime power, that the set lacks
+_EQUIVALENCE_POOL = [n for n in range(2, 90) if n % 7 and n % 16]
+_EQUIVALENCE_TARGETS = [
+    Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(5, 12), Fraction(0),
+    Fraction(1, 7), Fraction(1, 2) + Fraction(1, 49), Fraction(1, 16), Fraction(3, 16),
+]
+
+
+def _equivalence_instances(seed: int, count: int, max_size: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        A = sorted(rng.sample(_EQUIVALENCE_POOL, rng.randint(1, max_size)))
+        if rng.random() < 0.3:
+            target = recip_sum(rng.sample(A, rng.randint(0, len(A))))
+        else:
+            target = rng.choice(_EQUIVALENCE_TARGETS)
+        yield A, target, rng.choice([20, 200, 2000, 10**6])
+
+
+def _outcome(res):
+    return res.status.value, None if res.witness is None else res.witness.elements, res.nodes_explored
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_dfs_matches_fraction_reference(deterministic):
+    # the scaled-integer engine walks the same tree as the recursive Fraction
+    # search: same status, witness and node count, budget cut-offs included
+    statuses = set()
+    for A, target, budget in _equivalence_instances(41, 250, 30):
+        cfg = SolverConfig(strategy=Strategy.DFS_BNB, node_budget=budget, deterministic=deterministic)
+        expected = reference_find_dfs(A, target, budget, deterministic)
+        assert _outcome(find_subset(A, target, cfg)) == expected, (A, target, budget)
+        statuses.add(expected[0])
+    assert statuses == {"found", "exhausted_none", "budget_exceeded"}
+
+
+def test_dfs_kernel_matches_fraction_reference_in_ascending_order():
+    # find_subset runs the ascending order only after a grouped-order hit; here
+    # the kernel runs it alone, exhausted and budget-cut searches included
+    for A, target, budget in _equivalence_instances(42, 150, 30):
+        counter = [0]
+        try:
+            expected = reference_dfs(A, target, counter, budget, prime_factors(target.denominator))
+        except ReferenceBudgetExhausted:
+            expected = "budget"
+        nodes = solver._Nodes(budget)
+        L, T = solver._in_units(A, target)
+        factors = {n: prime_factors(n) for n in A}
+        try:
+            got = solver._dfs_search(A, L, T, factors, prime_factors(target.denominator), nodes)
+        except solver._BudgetExhausted:
+            got = "budget"
+        assert (got, nodes.count) == (expected, counter[0]), (A, target, budget)
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_meet_matches_fraction_reference(deterministic):
+    for A, target, budget in _equivalence_instances(43, 120, 20):
+        cfg = SolverConfig(strategy=Strategy.MEET_MIDDLE, node_budget=budget, deterministic=deterministic)
+        expected = reference_find_meet(A, target, budget, deterministic)
+        assert _outcome(find_subset(A, target, cfg)) == expected, (A, target, budget)
+
+
+def test_counters_match_fraction_reference():
+    rng = random.Random(44)
+    for A, target, _ in _equivalence_instances(44, 80, 16):
+        assert count_subsets(A, target) == reference_count_subsets(A, target), (A, target)
+        k = rng.randint(1, 4)
+        # dp_lcm_bound=1 forces the enumeration branch of count_integral
+        assert count_integral(A, k, dp_lcm_bound=1) == reference_count_integral(A, k), (A, k)
