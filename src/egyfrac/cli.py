@@ -9,7 +9,8 @@ output root for experiment artifacts.
 
 Exit codes: 0 success / witness found, 1 exhausted with no witness,
 2 node budget exceeded, 3 resource limits or a refused float count,
-64 unparsable input.
+64 unusable input: a usage error, an unparsable set file or value, an
+unknown experiment, or an output path that cannot be written.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +30,6 @@ from .errors import (
     InconclusiveError,
     InfeasibleError,
     NumericalInstabilityError,
-    RangeError,
     ResourceLimitError,
 )
 from .rational import IntSet, format_rational, parse_rational, recip_sum, lcm_set
@@ -49,26 +48,29 @@ EXIT_RESOURCE = 3
 EXIT_USAGE = 64
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance stamp for one command invocation."""
-
-    command: str
-    parameters: dict
-    input_digest: str
-    output_path: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "input_digest": self.input_digest,
-            "output_path": self.output_path,
-        }
+class _UsageError(Exception):
+    """The command line does not parse."""
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+class _Parser(argparse.ArgumentParser):
+    # argparse would print usage and exit 2, the budget code; raise instead
+    # so that main() maps the error like any other
+    def error(self, message):
+        raise _UsageError(message)
+
+
+# The one exception -> exit code table, most specific class first.  main()
+# applies it around parsing and dispatch; any other exception is a bug and
+# surfaces as a traceback.
+_EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
+    (_UsageError, EXIT_USAGE),
+    (ResourceLimitError, EXIT_RESOURCE),
+    (InconclusiveError, EXIT_RESOURCE),
+    (NumericalInstabilityError, EXIT_RESOURCE),
+    (ValueError, EXIT_USAGE),  # DomainError, RangeError, unparsable text or JSON
+    (ZeroDivisionError, EXIT_USAGE),  # a rational "p/0"
+    (OSError, EXIT_USAGE),  # unreadable set file, unwritable output path
+)
 
 
 def _dump_json(obj) -> str:
@@ -82,29 +84,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _fail(msg: str, code: int) -> int:
-    print(f"egyfrac: error: {msg}", file=sys.stderr)
-    return code
-
-
-def _load_set(path: str) -> tuple[IntSet, bytes]:
-    data = Path(path).read_bytes()
-    return IntSet.parse(data.decode("utf-8")), data
-
-
-def _out_root(args) -> Path:
-    root = os.environ.get("EGYFRAC_OUT_DIR") or args.out_dir
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_artifact(root: Path, name: str, text: str, manifest: RunManifest) -> Path:
-    target = root / name
-    target.write_text(text, encoding="utf-8")
-    sidecar = root / (name + ".manifest.json")
-    sidecar.write_text(_dump_json(manifest.to_json_dict()), encoding="utf-8")
-    return target
+def _load_set(path: str) -> IntSet:
+    return IntSet.parse(Path(path).read_bytes().decode("utf-8"))
 
 
 def _csv_text(rows: list[list]) -> str:
@@ -119,25 +100,14 @@ def _csv_text(rows: list[list]) -> str:
 
 
 def cmd_solve(args) -> int:
-    try:
-        A, _ = _load_set(args.set_file)
-    except (OSError, TypeError, ValueError) as exc:
-        return _fail(f"cannot read set file: {exc}", EXIT_USAGE)
-    try:
-        target = parse_rational(args.target)
-    except (ValueError, ZeroDivisionError) as exc:
-        return _fail(f"cannot parse target: {exc}", EXIT_USAGE)
+    A = _load_set(args.set_file)
+    target = parse_rational(args.target)
     cfg = SolverConfig(
         strategy=Strategy(args.strategy),
         node_budget=args.budget,
         deterministic=not args.non_deterministic,
     )
-    try:
-        result = find_subset(A, target, cfg)
-    except ResourceLimitError as exc:
-        return _fail(str(exc), EXIT_RESOURCE)
-    except DomainError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    result = find_subset(A, target, cfg)
     _emit(_dump_json(result.to_json_dict()), args.out)
     return {
         SolverStatus.FOUND: EXIT_FOUND,
@@ -147,20 +117,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_fourier(args) -> int:
-    try:
-        A, _ = _load_set(args.set_file)
-    except (OSError, TypeError, ValueError) as exc:
-        return _fail(f"cannot read set file: {exc}", EXIT_USAGE)
+    A = _load_set(args.set_file)
     width = args.arc_width
     if width is None:
         width = (min(A) / 2) if len(A) else 1.0
-    try:
-        diag = arc_classify(A, args.k, width, lcm_bound=args.lcm_bound, threads=args.threads)
-        exact = count_integral(A, args.k)
-    except (ResourceLimitError, NumericalInstabilityError) as exc:
-        return _fail(str(exc), EXIT_RESOURCE)
-    except DomainError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    diag = arc_classify(A, args.k, width, lcm_bound=args.lcm_bound, threads=args.threads)
+    exact = count_integral(A, args.k)
     payload = diag.to_json_dict()
     payload["count_integral"] = exact
     payload["consistent"] = diag.rounded == exact
@@ -169,23 +131,18 @@ def cmd_fourier(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    try:
-        A, _ = _load_set(args.set_file)
-    except (OSError, TypeError, ValueError) as exc:
-        return _fail(f"cannot read set file: {exc}", EXIT_USAGE)
+    A = _load_set(args.set_file)
     bound = args.table_bound or max(A.elements, default=2)
-    try:
-        t = build_table(max(bound, 2))
-        dec = build_decomposition(A, t)
-    except (DomainError, RangeError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except ResourceLimitError as exc:
-        return _fail(str(exc), EXIT_RESOURCE)
+    dec = build_decomposition(A, build_table(max(bound, 2)))
     _emit(_dump_json(dec.to_json_dict()), args.out)
     return EXIT_FOUND
 
 
-def _experiment_mertens(args, root: Path) -> int:
+# Each experiment returns its artifact as (file name, text, manifest
+# parameters, input-digest source); cmd_experiment writes it.
+
+
+def _experiment_mertens(args):
     t = build_table(max(args.X, 2))
     value = mertens_q_sum(args.X, t)
     lnln = math.log(math.log(args.X)) if args.X >= 3 else None
@@ -196,18 +153,10 @@ def _experiment_mertens(args, root: Path) -> int:
         "ln_ln_X": lnln,
         "excess": float(value) - lnln if lnln is not None else None,
     }
-    manifest = RunManifest(
-        command="experiment mertens",
-        parameters={"X": args.X},
-        input_digest=_digest(str(args.X).encode()),
-        output_path=f"mertens_{args.X}.json",
-    )
-    _write_artifact(root, manifest.output_path, _dump_json(payload), manifest)
-    print(f"wrote {root / manifest.output_path}")
-    return EXIT_FOUND
+    return f"mertens_{args.X}.json", _dump_json(payload), {"X": args.X}, str(args.X)
 
 
-def _experiment_sieve(args, root: Path) -> int:
+def _experiment_sieve(args):
     if not 1 < args.y < args.z:
         raise DomainError("sieve experiment needs 1 < y < z")
     t = build_table(2 * args.N)
@@ -224,15 +173,9 @@ def _experiment_sieve(args, root: Path) -> int:
         "bound": bound,
         "K": ratio / bound,
     }
-    manifest = RunManifest(
-        command="experiment sieve",
-        parameters={"N": args.N, "y": args.y, "z": args.z},
-        input_digest=_digest(f"{args.N},{args.y},{args.z}".encode()),
-        output_path=f"sieve_{args.N}_{args.y}_{args.z}.json",
-    )
-    _write_artifact(root, manifest.output_path, _dump_json(payload), manifest)
-    print(f"wrote {root / manifest.output_path}")
-    return EXIT_FOUND
+    params = {"N": args.N, "y": args.y, "z": args.z}
+    return (f"sieve_{args.N}_{args.y}_{args.z}.json", _dump_json(payload), params,
+            f"{args.N},{args.y},{args.z}")
 
 
 def _largest_verified_n(N_max: int, C: float, t, budget: int) -> int:
@@ -253,7 +196,7 @@ def _largest_verified_n(N_max: int, C: float, t, budget: int) -> int:
     return best
 
 
-def _experiment_pomerance(args, root: Path) -> int:
+def _experiment_pomerance(args):
     t = build_table(max(args.N, 2))
     if args.sweep_C:
         cs = [float(c) for c in args.sweep_C.split(",")]
@@ -277,34 +220,18 @@ def _experiment_pomerance(args, root: Path) -> int:
             )
         name = f"pomerance_{args.N}_{args.C}.csv"
         params = {"N": args.N, "C": args.C, "step": step, "budget": args.budget}
-    manifest = RunManifest(
-        command="experiment pomerance",
-        parameters=params,
-        input_digest=_digest(repr(sorted(params.items())).encode()),
-        output_path=name,
-    )
-    _write_artifact(root, manifest.output_path, _csv_text(rows), manifest)
-    print(f"wrote {root / manifest.output_path}")
-    return EXIT_FOUND
+    return name, _csv_text(rows), params, repr(sorted(params.items()))
 
 
-def _experiment_lambda(args, root: Path) -> int:
+def _experiment_lambda(args):
     rows = [["N", "value_exact", "value_float", "witness"]]
     for N in range(2, args.max + 1):
-        value, witness = lambda_exact(N, max_n=args.max)
+        value, witness = lambda_exact(N, max_n=args.max, node_budget=args.budget)
         rows.append([N, format_rational(value), float(value), " ".join(map(str, witness))])
-    manifest = RunManifest(
-        command="experiment lambda",
-        parameters={"max": args.max},
-        input_digest=_digest(str(args.max).encode()),
-        output_path=f"lambda_{args.max}.csv",
-    )
-    _write_artifact(root, manifest.output_path, _csv_text(rows), manifest)
-    print(f"wrote {root / manifest.output_path}")
-    return EXIT_FOUND
+    return f"lambda_{args.max}.csv", _csv_text(rows), {"max": args.max}, str(args.max)
 
 
-def _experiment_prune_demo(args, root: Path) -> int:
+def _experiment_prune_demo(args):
     """Filter a range, then cascade window prunes and arc diagnostics.
 
     For each admissible denominator d the current pool is pruned into the
@@ -358,30 +285,10 @@ def _experiment_prune_demo(args, root: Path) -> int:
         else:
             stage["fourier"] = f"skipped: lcm {L} exceeds bound {args.lcm_bound}"
         stages.append(stage)
-    payload = {
-        "lo": args.lo,
-        "hi": args.hi,
-        "y": args.y,
-        "z": args.z,
-        "theta": args.theta,
-        "pool_size": len(pool),
-        "stages": stages,
-    }
-    manifest = RunManifest(
-        command="experiment prune-demo",
-        parameters={
-            "lo": args.lo,
-            "hi": args.hi,
-            "y": args.y,
-            "z": args.z,
-            "theta": args.theta,
-        },
-        input_digest=_digest(f"{args.lo},{args.hi},{args.y},{args.z},{args.theta}".encode()),
-        output_path=f"prune_demo_{args.lo}_{args.hi}.json",
-    )
-    _write_artifact(root, manifest.output_path, _dump_json(payload), manifest)
-    print(f"wrote {root / manifest.output_path}")
-    return EXIT_FOUND
+    params = {"lo": args.lo, "hi": args.hi, "y": args.y, "z": args.z, "theta": args.theta}
+    payload = {**params, "pool_size": len(pool), "stages": stages}
+    return (f"prune_demo_{args.lo}_{args.hi}.json", _dump_json(payload), params,
+            f"{args.lo},{args.hi},{args.y},{args.z},{args.theta}")
 
 
 _EXPERIMENTS = {
@@ -394,19 +301,19 @@ _EXPERIMENTS = {
 
 
 def cmd_experiment(args) -> int:
-    runner = _EXPERIMENTS.get(args.name)
-    if runner is None:
-        return _fail(
-            f"unknown experiment {args.name!r}; choose from {sorted(_EXPERIMENTS)}",
-            EXIT_USAGE,
-        )
-    root = _out_root(args)
-    try:
-        return runner(args, root)
-    except (ResourceLimitError, InconclusiveError) as exc:
-        return _fail(str(exc), EXIT_RESOURCE)
-    except (DomainError, RangeError, ValueError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    root = Path(os.environ.get("EGYFRAC_OUT_DIR") or args.out_dir)
+    root.mkdir(parents=True, exist_ok=True)
+    name, text, params, digest_source = _EXPERIMENTS[args.name](args)
+    manifest = {
+        "command": f"experiment {args.name}",
+        "parameters": params,
+        "input_digest": hashlib.sha256(digest_source.encode()).hexdigest(),
+        "output_path": name,
+    }
+    (root / name).write_text(text, encoding="utf-8")
+    (root / (name + ".manifest.json")).write_text(_dump_json(manifest), encoding="utf-8")
+    print(f"wrote {root / name}")
+    return EXIT_FOUND
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +321,7 @@ def cmd_experiment(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="egyfrac", description=__doc__)
+    parser = _Parser(prog="egyfrac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="search a set file for a subset with a given reciprocal sum")
@@ -442,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("experiment", help="run a named batch experiment")
-    p.add_argument("name")
+    p.add_argument("name", choices=_EXPERIMENTS)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--X", type=int, default=1000)
@@ -467,9 +374,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
+        print(f"egyfrac: error: {exc}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 def entrypoint() -> None:

@@ -89,8 +89,9 @@ class IntSet:
     @classmethod
     def from_json(cls, text: str) -> "IntSet":
         data = json.loads(text)
-        if not isinstance(data, list):
-            raise ValueError("expected a JSON array of integers")
+        # a JSON true or false would pass as the integer 1 or 0
+        if not isinstance(data, list) or any(type(x) is not int for x in data):
+            raise DomainError("expected a JSON array of integers")
         return cls(data)
 
     @classmethod

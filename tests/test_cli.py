@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from decimal import Decimal
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from egyfrac import build_table, format_rational, mertens_q_sum, parse_rational
+import egyfrac.cli
 from egyfrac.cli import main
 from helpers import divisors_above_one
 
@@ -221,3 +223,72 @@ def test_solve_reproducible_json(set_file, tmp_path):
         assert main(["solve", str(set_file), "--target", "1/1", "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{set}"],
+        ["solve", "{set}", "--target", "1/1", "--strategy", "bogus"],
+        ["fourier", "{set}", "--k", "1", "--threads", "abc"],
+        ["solve", "{set}", "--target", "1/1", "--budget", "0"],
+        ["solve", "{set}", "--target", "1/1", "--out", "{tmp}/missing/r.json"],
+        ["experiment", "mertens", "--X", "50", "--out-dir", "{set}"],
+    ],
+    ids=["missing-target", "bad-strategy", "bad-threads", "zero-budget", "out-in-missing-dir", "out-dir-is-file"],
+)
+def test_usage_errors_exit_64(argv, set_file, tmp_path, capsys):
+    # argparse must not exit 2, the budget code, and none of these may end in a traceback
+    argv = [a.format(set=set_file, tmp=tmp_path) for a in argv]
+    assert main(argv) == 64
+    assert capsys.readouterr().err.startswith("egyfrac: error:")
+
+
+def test_out_dir_env_naming_a_file_exits_64(set_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("EGYFRAC_OUT_DIR", str(set_file))
+    assert main(["experiment", "mertens", "--X", "50", "--out-dir", str(tmp_path)]) == 64
+    assert capsys.readouterr().err.startswith("egyfrac: error:")
+
+
+def test_experiment_lambda_honours_budget(tmp_path, capsys):
+    assert main(["experiment", "lambda", "--max", "8", "--budget", "1", "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("egyfrac: error:")
+    assert not (tmp_path / "lambda_8.csv").exists()
+
+
+def test_programming_errors_are_not_mapped(tmp_path, monkeypatch):
+    def broken(args):
+        raise KeyError("bug")
+
+    monkeypatch.setitem(egyfrac.cli._EXPERIMENTS, "mertens", broken)
+    with pytest.raises(KeyError):
+        main(["experiment", "mertens", "--out-dir", str(tmp_path)])
+
+
+# sha256 of each artifact and its manifest sidecar; these bytes are part of
+# the CLI's contract and must not change
+PINNED_ARTIFACTS = [
+    (["mertens", "--X", "100"], "mertens_100.json",
+     "9d65f486f31dcefe9d2266ebc25091737b9c2a245b939d6fba8ad8f511a6e8e7",
+     "6cc003e9d487aaeb92bca76cfd2b93b40b53708ee0a630d4b46b5a6d7da800c8"),
+    (["sieve", "--N", "5000"], "sieve_5000_3.0_100.0.json",
+     "d66bb4a01568b8858803a4b9300ddecc1cad5fcfa5cd7bd4edcee53b3650fcc7",
+     "9a24850cfeab0ce15018af0581d9376a23611ad8be33c3105c9c2d3add10a10d"),
+    (["pomerance", "--N", "60"], "pomerance_60_1.0.csv",
+     "a0a9578f5240c3614cedc8762c133663d92cc119fa98fedcd7347e45211df5d3",
+     "ea80f72d57f94cccaea82f89aed0dc5cc3cd65045c540c44a144130ace537e3c"),
+    (["lambda", "--max", "6"], "lambda_6.csv",
+     "9b30d6ad07f755183c49540381fdee2942acdf987e6a1f65edd15088741d0add",
+     "80abd3aba5eecdf4faf82d0ff9a42bdeb107e71b6466bfc8b5d357fd074d0ca9"),
+    (["prune-demo", "--lo", "4", "--hi", "60", "--y", "1", "--z", "12"], "prune_demo_4_60.json",
+     "c72c6f0f0f631b49f40ee0e57af5d685692d138671090676f1cdb5139f99a2e9",
+     "d6cbb2c0c42a23987aa2f12d99dc83f29e315112c20082625a9c582390dfd99d"),
+]
+
+
+@pytest.mark.parametrize("params,name,artifact_sha,manifest_sha", PINNED_ARTIFACTS, ids=[p[0][0] for p in PINNED_ARTIFACTS])
+def test_experiment_artifacts_pinned(params, name, artifact_sha, manifest_sha, tmp_path, capsys):
+    assert main(["experiment", *params, "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"wrote {tmp_path / name}\n"
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == artifact_sha
+    assert hashlib.sha256((tmp_path / (name + ".manifest.json")).read_bytes()).hexdigest() == manifest_sha

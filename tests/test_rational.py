@@ -70,6 +70,13 @@ def test_intset_rejects_floats():
         IntSet([2.5])
 
 
+@pytest.mark.parametrize("text", ["[true, 2]", "[false]", "[2.5, 3]", '["2"]', "[null]", '{"a": 2}'])
+def test_intset_from_json_rejects_non_integers(text):
+    # a JSON true must not pass as the integer 1, nor 2.5 escape as a bare TypeError
+    with pytest.raises(DomainError):
+        IntSet.from_json(text)
+
+
 def test_intset_immutable():
     a = IntSet([2, 3])
     with pytest.raises(AttributeError):
