@@ -68,7 +68,7 @@ _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
     (InconclusiveError, EXIT_RESOURCE),
     (NumericalInstabilityError, EXIT_RESOURCE),
     (ValueError, EXIT_USAGE),  # DomainError, RangeError, unparsable text or JSON
-    (ZeroDivisionError, EXIT_USAGE),  # a rational "p/0"
+    (ZeroDivisionError, EXIT_USAGE),  # a zero option value, e.g. prune-demo --y 0
     (OSError, EXIT_USAGE),  # unreadable set file, unwritable output path
 )
 
@@ -274,7 +274,7 @@ def _experiment_prune_demo(args):
                 diag = arc_classify(
                     current, d, (args.lo / 2), lcm_bound=args.lcm_bound, threads=args.threads
                 )
-            except NumericalInstabilityError as exc:
+            except (NumericalInstabilityError, ResourceLimitError) as exc:
                 stage["fourier"] = f"skipped: {exc}"
             else:
                 stage["fourier"] = {

@@ -17,8 +17,13 @@ a-priori error bound 18 m 2^m u (u = 2^-53, m = |A|) reaches 1/4: m >= 42.
 A table entry 1 + e(j/n) is within 23u of exact (three roundings in the phase,
 < 2 pi 3u; 1 ulp in cos and in sin; one in adding 1.0), a complex product adds
 relative error sqrt(5)u, so m factors of modulus <= 2 are off by < 13.8 m 2^m u,
-and the exactly rounded sums and the division by L add 3 2^m u: 18 covers the
-resulting 17 m 2^m u with its second-order terms.
+and the sums and the division by L add 3 2^m u: 18 covers the resulting
+17 m 2^m u with its second-order terms.  That 3 2^m u term needs every sum
+exactly rounded, and ``_exact_sum`` returns exactly what math.fsum does.
+
+The arc diagnostics hold every frequency in arrays, tuples and a dict, about
+_ARC_BYTES_PER_FREQ bytes each; arc_classify refuses an lcm whose estimate
+passes _ARC_BYTE_BUDGET before it allocates anything.
 """
 from __future__ import annotations
 
@@ -37,6 +42,8 @@ from .decomposition import ppowers_in_set, subset_aq
 DEFAULT_LCM_BOUND = 10**6
 _CHUNK = 1 << 17
 _ERROR_C = 18  # the constant of the a-priori error bound, derived in the docstring
+_ARC_BYTES_PER_FREQ = 240  # peak tracemalloc bytes per frequency: 232 at L = 720720
+_ARC_BYTE_BUDGET = 2**30  # admits L up to 4.4 million, past DEFAULT_LCM_BOUND
 
 
 @dataclass(frozen=True)
@@ -92,8 +99,46 @@ class IntervalReport:
     common_x: Optional[int]
 
 
-def _h_values(L: int) -> np.ndarray:
-    return np.arange(-((L - 1) // 2), L // 2 + 1, dtype=np.int64)
+def _h_range(L: int) -> range:
+    """The frequencies h in (-L/2, L/2]."""
+    return range(-((L - 1) // 2), L // 2 + 1)
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum(x.tolist()), the correctly rounded sum of a float64 array, in numpy.
+
+    x is scaled below 2^w by its max binade 2^e and split into three limbs of
+    w bits with trunc, which leaves each residual exact (floor does not, on
+    tiny negative values); w = 63 - bit_length(len(x)) keeps each limb's sum
+    inside int64.  The exact limb total, in units of 2^(e - 3w), misses the
+    true sum by less than one unit per element, so it is rounded once and
+    returned when total - n and total + n round to the same double.  Undecided
+    and zero totals, non-finite values, and max |x| >= 2^1000 or sums that
+    could pass 2^1023, where fsum can raise OverflowError, go to math.fsum.
+    """
+    n = len(x)
+    m = float(np.abs(x).max()) if n else 0.0
+    e = math.frexp(m)[1]  # m < 2^e
+    if not 0.0 < m < 2.0**1000 or e + n.bit_length() > 1023:
+        return math.fsum(x.tolist())
+    w = 63 - n.bit_length()
+    s = np.ldexp(x, w - e)
+    total = 0
+    for _ in range(2):
+        t = np.trunc(s)
+        total = (total << w) + int(t.astype(np.int64).sum())
+        s -= t
+        s *= 2.0**w
+    total = (total << w) + int(s.astype(np.int64).sum())  # the cast truncates
+    sh = e - 3 * w
+
+    def rounded(units: int) -> float:
+        return float(units << sh) if sh >= 0 else units / (1 << -sh)
+
+    value = rounded(total)
+    if value != 0.0 and rounded(total - n) == value == rounded(total + n):
+        return value
+    return math.fsum(x.tolist())
 
 
 def _cos_table(n: int) -> np.ndarray:
@@ -119,8 +164,8 @@ def orthogonality_sum(
 ) -> tuple[float, float, int]:
     """Evaluate the orthogonality sum; returns (real part, imag part, L).
 
-    The h-range is processed in fixed-size chunks, each summed with
-    math.fsum; per-chunk results are combined in chunk order, so the
+    The h-range is processed in fixed-size chunks, each exactly rounded by
+    _exact_sum; per-chunk results are combined in chunk order, so the
     value does not depend on the number of worker threads.
     """
     A = as_intset(A)
@@ -132,18 +177,19 @@ def orthogonality_sum(
     if k * L > 2**62:
         raise ResourceLimitError("k * lcm too large for exact 64-bit phase reduction")
     roots = [1.0 + np.exp((2j * np.pi) * (np.arange(n) / n)) for n in A]  # 1 + e(j/n), j < n
-    hs = _h_values(L)
-    chunks = [hs[i : i + _CHUNK] for i in range(0, len(hs), _CHUNK)]
+    h = _h_range(L)
+    starts = h[::_CHUNK]
 
-    def chunk_sums(chunk: np.ndarray) -> tuple[float, float]:
-        prod = _gathered_product(roots, k * chunk, np.complex128)
-        return math.fsum(prod.real.tolist()), math.fsum(prod.imag.tolist())
+    def chunk_sums(start: int) -> tuple[float, float]:
+        hs = np.arange(start, min(start + _CHUNK, h.stop), dtype=np.int64)
+        prod = _gathered_product(roots, k * hs, np.complex128)
+        return _exact_sum(prod.real), _exact_sum(prod.imag)
 
-    if threads > 1 and len(chunks) > 1:
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(chunk_sums, chunks))
+            partials = list(pool.map(chunk_sums, starts))
     else:
-        partials = [chunk_sums(c) for c in chunks]
+        partials = [chunk_sums(s) for s in starts]
     return math.fsum(p[0] for p in partials), math.fsum(p[1] for p in partials), L
 
 
@@ -193,13 +239,23 @@ def arc_classify(
     lcm_bound: int = DEFAULT_LCM_BOUND,
     threads: int = 1,
 ) -> ArcDiagnostics:
-    """Classify every nonzero frequency as major or minor and weigh it."""
+    """Classify every nonzero frequency as major or minor and weigh it.
+
+    Raises ResourceLimitError before any work when the lcm's estimated
+    memory passes the module's byte budget.
+    """
     A = as_intset(A)
     if K < 0:
         raise DomainError("arc radius K must be >= 0")
-    value, rounded = fourier_count(A, k, lcm_bound=lcm_bound, threads=threads)
     L = lcm_set(A)
-    hs = _h_values(L)
+    if _ARC_BYTES_PER_FREQ * L > _ARC_BYTE_BUDGET:
+        raise ResourceLimitError(
+            f"arc diagnostics at lcm {L} need about {_ARC_BYTES_PER_FREQ * L} bytes, "
+            f"over the {_ARC_BYTE_BUDGET}-byte budget"
+        )
+    value, rounded = fourier_count(A, k, lcm_bound=lcm_bound, threads=threads)
+    h = _h_range(L)
+    hs = np.arange(h.start, h.stop, dtype=np.int64)
     hs = hs[hs != 0]
     kh = k * hs
     # distance from k*h to the nearest multiple of L, exactly in integers
@@ -215,7 +271,7 @@ def arc_classify(
         weights=dict(zip(hs.tolist(), weights_arr.tolist())),
         fourier_value=value,
         rounded=rounded,
-        minor_weight_sum=math.fsum(weights_arr[~major_mask].tolist()),
+        minor_weight_sum=_exact_sum(weights_arr[~major_mask]),
     )
 
 

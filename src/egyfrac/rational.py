@@ -28,12 +28,16 @@ class IntSet:
     """Immutable finite set of positive integers, stored sorted ascending.
 
     Duplicates are merged; zero and negative entries are rejected (a
-    reciprocal 1/0 is undefined, and the element 1 is allowed).
+    reciprocal 1/0 is undefined, and the element 1 is allowed), and so are
+    booleans, which ``operator.index`` would read as 0 and 1.
     """
 
     __slots__ = ("elements",)
 
     def __init__(self, items: Iterable[int] = ()):
+        items = tuple(items)
+        if bool in map(type, items):
+            raise DomainError("set elements must be integers, not booleans")
         elems = sorted({operator.index(x) for x in items})
         if elems and elems[0] < 1:
             raise DomainError(f"set elements must be positive, got {elems[0]}")
@@ -167,7 +171,10 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL.fullmatch(text)
     if m is None:
         return Fraction(text)
-    return Fraction(int(Decimal(m[1])), int(Decimal(m[2] or 1)))
+    den = int(Decimal(m[2] or 1))
+    if den == 0:
+        raise DomainError(f"zero denominator in rational {text!r}")
+    return Fraction(int(Decimal(m[1])), den)
 
 
 def format_rational(x: Fraction) -> str:

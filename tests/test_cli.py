@@ -8,6 +8,7 @@ import pytest
 
 from egyfrac import build_table, format_rational, mertens_q_sum, parse_rational
 import egyfrac.cli
+import egyfrac.fourier
 from egyfrac.cli import main
 from helpers import divisors_above_one
 
@@ -192,6 +193,35 @@ def test_experiment_prune_demo_records_refused_stage(tmp_path, capsys):
         assert len(st["trace"]["final"]) >= 42
         assert st["fourier"].startswith("skipped: "), st["fourier"]
     capsys.readouterr()
+
+
+def test_experiment_prune_demo_skips_stages_over_the_memory_budget(tmp_path, monkeypatch, capsys):
+    # the three pruned stages (36, 28 and 23 elements) have lcm 151351200, whose arc
+    # diagnostics would take some 36 GB: each must be refused before any product
+    def kernel_called(*args, **kwargs):
+        raise AssertionError("the product kernel ran on an lcm over the byte budget")
+
+    monkeypatch.setattr(egyfrac.fourier, "_gathered_product", kernel_called)
+    rc = main(
+        ["experiment", "prune-demo", "--lo", "4", "--hi", "60", "--y", "1", "--z", "12",
+         "--lcm-bound", str(10**40), "--out-dir", str(tmp_path)]
+    )
+    assert rc == 0
+    stages = json.loads((tmp_path / "prune_demo_4_60.json").read_text())["stages"]
+    assert [len(st["trace"]["final"]) for st in stages] == [36, 28, 23]
+    for st in stages:
+        assert st["fourier"].startswith("skipped: arc diagnostics at lcm 151351200"), st["fourier"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "{set}", "--target", "1/0"], ["experiment", "prune-demo", "--theta", "1/0", "--out-dir", "{tmp}"]],
+    ids=["solve-target", "prune-demo-theta"],
+)
+def test_zero_denominator_named(argv, set_file, tmp_path, capsys):
+    assert main([a.format(set=set_file, tmp=tmp_path) for a in argv]) == 64
+    assert "zero denominator" in capsys.readouterr().err
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch, capsys):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import egyfrac.fourier
 from egyfrac import (
@@ -69,6 +71,78 @@ def test_fourier_refuses_before_forming_products(monkeypatch):
         fourier_count(divisors_above_one(720720)[:80], 1)
     with pytest.raises(NumericalInstabilityError):
         arc_classify(divisors_above_one(720720)[:80], 1, 1.0)
+
+
+def test_arc_classify_refuses_over_byte_budget_before_forming_products(monkeypatch):
+    def kernel_called(*args, **kwargs):
+        raise AssertionError("the product kernel ran on an lcm over the byte budget")
+
+    monkeypatch.setattr(egyfrac.fourier, "_gathered_product", kernel_called)
+    # lcm 9699690: its diagnostics would take some 2.3 GB, so no product may be formed
+    with pytest.raises(ResourceLimitError, match="byte budget"):
+        arc_classify([2, 3, 5, 7, 11, 13, 17, 19], 1, 1.0, lcm_bound=10**7)
+    f = egyfrac.fourier
+    assert f._ARC_BYTES_PER_FREQ * f.DEFAULT_LCM_BOUND <= f._ARC_BYTE_BUDGET
+
+
+def _sum_outcome(sum_fn, x):
+    """float.hex of the sum, or the class of the error it raised."""
+    try:
+        return sum_fn(x).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_sums_like_fsum(x):
+    want = _sum_outcome(lambda a: math.fsum(a.tolist()), x)
+    assert _sum_outcome(egyfrac.fourier._exact_sum, x) == want, x
+
+
+def _scaled_floats(lo, hi):
+    """Floats m * 2^e with m in [-1, 1] and e in [lo, hi]; below e = -1021 they go subnormal."""
+    return st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(lo, hi))
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(-150, 100), (-1100, -1000), (950, 1023), (-1100, 1023)],
+    ids=["250-binades", "subnormal", "near-overflow", "full-range"],
+)
+@given(data=st.data())
+def test_exact_sum_matches_fsum_bitwise(lo, hi, data):
+    x = data.draw(hnp.arrays(np.float64, st.integers(0, 40), elements=_scaled_floats(lo, hi)))
+    _assert_sums_like_fsum(x)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, egyfrac.fourier._CHUNK]))
+def test_exact_sum_matches_fsum_at_chunk_lengths(seed, n):
+    rng = np.random.default_rng(seed)
+    _assert_sums_like_fsum(np.ldexp(rng.standard_normal(n), rng.integers(-150, 100, n)))
+
+
+@given(hnp.arrays(np.float64, st.integers(0, 40), elements=_scaled_floats(-60, 60)), _scaled_floats(-1100, -60))
+def test_exact_sum_cancellation(a, residue):
+    x = np.concatenate([a, [residue], -a[::-1]])
+    _assert_sums_like_fsum(x)
+    assert egyfrac.fourier._exact_sum(x) == residue
+    assert egyfrac.fourier._exact_sum(np.full(len(a), -0.0)).hex() == "0x0.0p+0"
+
+
+@given(hnp.arrays(np.float64, st.integers(1, 8),
+                  elements=st.sampled_from([math.inf, -math.inf, math.nan, 1.0, -2.5, 2.0**1000, 2.0**1023])))
+def test_exact_sum_non_finite_and_overflow(x):
+    _assert_sums_like_fsum(x)
+
+
+def test_exact_sum_falls_back_only_when_rounding_is_undecided(monkeypatch):
+    fsum = math.fsum
+    calls = []
+    monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
+    x = np.random.default_rng(0).standard_normal(1000)
+    assert egyfrac.fourier._exact_sum(x) == fsum(x.tolist()) and not calls
+    # 1 + 2^-53 is a tie, and the limb total's one-unit tail bound straddles it
+    assert egyfrac.fourier._exact_sum(np.array([1.0, 2.0**-53])) == 1.0 and calls
 
 
 def _reference_sum(A, k):

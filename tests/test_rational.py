@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -68,6 +69,15 @@ def test_intset_rejects_nonpositive():
 def test_intset_rejects_floats():
     with pytest.raises(TypeError):
         IntSet([2.5])
+
+
+def test_intset_rejects_booleans():
+    # operator.index reads True as 1
+    with pytest.raises(DomainError):
+        IntSet([True, 2])
+    with pytest.raises(DomainError):
+        IntSet([False])
+    assert IntSet(np.array([3, 2])) == IntSet([2, 3])
 
 
 @pytest.mark.parametrize("text", ["[true, 2]", "[false]", "[2.5, 3]", '["2"]', "[null]", '{"a": 2}'])
