@@ -68,7 +68,6 @@ _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
     (InconclusiveError, EXIT_RESOURCE),
     (NumericalInstabilityError, EXIT_RESOURCE),
     (ValueError, EXIT_USAGE),  # DomainError, RangeError, unparsable text or JSON
-    (ZeroDivisionError, EXIT_USAGE),  # a zero option value, e.g. prune-demo --y 0
     (OSError, EXIT_USAGE),  # unreadable set file, unwritable output path
 )
 
@@ -132,8 +131,7 @@ def cmd_fourier(args) -> int:
 
 def cmd_decompose(args) -> int:
     A = _load_set(args.set_file)
-    bound = args.table_bound or max(A.elements, default=2)
-    dec = build_decomposition(A, build_table(max(bound, 2)))
+    dec = build_decomposition(A, build_table(max([2, *A])))
     _emit(_dump_json(dec.to_json_dict()), args.out)
     return EXIT_FOUND
 
@@ -197,7 +195,11 @@ def _largest_verified_n(N_max: int, C: float, t, budget: int) -> int:
 
 
 def _experiment_pomerance(args):
-    t = build_table(max(args.N, 2))
+    if args.N < 2:
+        raise DomainError(f"--N must be at least 2, got {args.N}")
+    if args.step is not None and args.step < 1:
+        raise DomainError(f"--step must be at least 1, got {args.step}")
+    t = build_table(args.N)
     if args.sweep_C:
         cs = [float(c) for c in args.sweep_C.split(",")]
         rows = [["C", "largest_verified_N", "size", "recip_float", "recip_exact"]]
@@ -238,6 +240,8 @@ def _experiment_prune_demo(args):
     window [2/d - 1/lo, 2/d) and handed to the orthogonality counter when
     its lcm stays within bounds.
     """
+    if args.y <= 0:
+        raise DomainError(f"--y must be positive, got {args.y}")
     t = build_table(max(args.hi, 2))
     theta = parse_rational(args.theta)
     pool = []
@@ -320,6 +324,14 @@ def cmd_experiment(args) -> int:
 # argument parsing
 
 
+def _finite_float(text: str) -> float:
+    # --y and --z reach ceil, floor and log, which infinities and NaN break
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="egyfrac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -344,7 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="dump the prime-power class structure of a set file")
     p.add_argument("set_file")
-    p.add_argument("--table-bound", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_decompose)
 
@@ -354,8 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--X", type=int, default=1000)
     p.add_argument("--N", type=int, default=1000)
-    p.add_argument("--y", type=float, default=3.0)
-    p.add_argument("--z", type=float, default=100.0)
+    p.add_argument("--y", type=_finite_float, default=3.0)
+    p.add_argument("--z", type=_finite_float, default=100.0)
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--sweep-C", default=None, help='comma list of C values, e.g. "0.5,1,2"')
     p.add_argument("--step", type=int, default=None)

@@ -13,7 +13,7 @@ from typing import Mapping
 
 from .errors import DomainError
 from .rational import IntSet, SetLike, as_intset, fraction_sum
-from .sieve import FactorTable, exact_prime_powers, factorize, is_prime_power
+from .sieve import FactorTable, exact_prime_powers, is_prime_power
 
 
 def subset_aq(A: SetLike, q: int, t: FactorTable) -> IntSet:
@@ -41,43 +41,6 @@ def rec_sum_q(A: SetLike, q: int, t: FactorTable) -> Fraction:
     """Mass of the class of q: sum of q/n over the class (0 if empty)."""
     members = subset_aq(A, q, t)
     return fraction_sum((q, n) for n in members)
-
-
-def smooth_cofactor(n: int, q: int, y: float, t: FactorTable) -> int:
-    """Strip from n/q every exact prime-power divisor that is <= y.
-
-    Requires q | n with gcd(q, n/q) = 1.  The result d is the product of
-    the exact prime powers of n/q exceeding y, so qd | n,
-    gcd(qd, n/(qd)) = 1, and every exact prime power of d exceeds y.
-    """
-    if not is_prime_power(q):
-        raise DomainError(f"q={q} is not a prime power")
-    if n % q != 0 or math.gcd(q, n // q) != 1:
-        raise DomainError(f"q={q} is not an exact prime-power divisor of n={n}")
-    m = n // q
-    if m == 1:
-        return 1
-    d = 1
-    for p, r in factorize(m, t):
-        if p**r > y:
-            d *= p**r
-    return d
-
-
-def gcd_ppower_recip_sum(n1: int, n2: int, t: FactorTable) -> Fraction:
-    """Sum of 1/q over all prime powers q dividing gcd(n1, n2)."""
-    if n1 < 1 or n2 < 1:
-        raise DomainError("arguments must be positive")
-    g = math.gcd(n1, n2)
-    if g == 1:
-        return Fraction(0)
-    pairs = []
-    for p, r in factorize(g, t):
-        pk = 1
-        for _ in range(r):
-            pk *= p
-            pairs.append((1, pk))
-    return fraction_sum(pairs)
 
 
 def qsum_check(A: SetLike, t: FactorTable) -> Fraction:

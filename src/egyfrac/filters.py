@@ -1,4 +1,4 @@
-"""Divisibility and regularity filters, sieve generators, prime-power sums."""
+"""Divisibility and regularity filters, a prime-window sieve, prime-power sums."""
 from __future__ import annotations
 
 import math
@@ -53,25 +53,6 @@ def sieve_survivors(lo: int, hi: int, y: float, z: float, t: FactorTable) -> Int
             count = (hi - start) // p + 1
             alive[start - lo :: p] = b"\x00" * count
     return IntSet(lo + i for i in range(width) if alive[i])
-
-
-def two_prime_pair_set(hi: int, y: float, z: float, t: FactorTable) -> IntSet:
-    """Integers <= hi divisible by two distinct primes p1 < p2 in [y, z] with 4*p1 < p2."""
-    if hi < 1:
-        raise RangeError(f"hi must be >= 1, got {hi}")
-    if hi > t.bound:
-        raise RangeError(f"hi={hi} exceeds table bound {t.bound}")
-    ps = t.primes_between(max(y, 2), min(z, hi))
-    marked = bytearray(hi + 1)
-    for i, p1 in enumerate(ps):
-        for p2 in ps[i + 1 :]:
-            if 4 * p1 < p2:
-                step = p1 * p2
-                if step > hi:
-                    break
-                count = hi // step
-                marked[step :: step] = b"\x01" * count
-    return IntSet(n for n in range(1, hi + 1) if marked[n])
 
 
 def prime_powers_upto(X: int, t: FactorTable) -> list[int]:

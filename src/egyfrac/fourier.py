@@ -30,20 +30,19 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
 from .errors import DomainError, NumericalInstabilityError, ResourceLimitError
-from .rational import IntSet, SetLike, as_intset, lcm_set
-from .sieve import FactorTable
-from .decomposition import ppowers_in_set, subset_aq
+from .rational import SetLike, as_intset, lcm_set
 
 DEFAULT_LCM_BOUND = 10**6
 _CHUNK = 1 << 17
 _ERROR_C = 18  # the constant of the a-priori error bound, derived in the docstring
 _ARC_BYTES_PER_FREQ = 240  # peak tracemalloc bytes per frequency: 232 at L = 720720
 _ARC_BYTE_BUDGET = 2**30  # admits L up to 4.4 million, past DEFAULT_LCM_BOUND
+_WEIGHT_CAP = 10_000  # to_json_dict lists weights up to this many frequencies, summarizes past it
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class ArcDiagnostics:
     rounded: int
     minor_weight_sum: float
 
-    def to_json_dict(self, *, weight_cap: int = 10_000) -> dict:
+    def to_json_dict(self) -> dict:
         d = {
             "L": self.L,
             "k": self.k,
@@ -76,7 +75,7 @@ class ArcDiagnostics:
             "rounded": self.rounded,
             "minor_weight_sum": self.minor_weight_sum,
         }
-        if len(self.weights) <= weight_cap:
+        if len(self.weights) <= _WEIGHT_CAP:
             d["weights"] = {str(h): w for h, w in self.weights.items()}
         else:
             ws = np.fromiter(self.weights.values(), dtype=float)
@@ -87,16 +86,6 @@ class ArcDiagnostics:
                 "sum": float(ws.sum()),
             }
         return d
-
-
-@dataclass(frozen=True)
-class IntervalReport:
-    """Divisibility coverage of one integer interval by a set A."""
-
-    interval: tuple[int, int]
-    nondividing_count: int
-    D_I: IntSet
-    common_x: Optional[int]
 
 
 def _h_range(L: int) -> range:
@@ -272,47 +261,4 @@ def arc_classify(
         fourier_value=value,
         rounded=rounded,
         minor_weight_sum=_exact_sum(weights_arr[~major_mask]),
-    )
-
-
-def interval_coverage(
-    A: SetLike,
-    I: tuple[int, int],
-    eta,
-    M,
-    t: FactorTable,
-) -> IntervalReport:
-    """Measure how well multiples of A cover the interval I = (start, length).
-
-    nondividing_count is the number of n in A dividing no element of I.
-    D_I collects the prime powers q whose class is almost fully dividing
-    (fewer than eta*M/q members fail), and common_x is the smallest
-    element of I divisible by every q in D_I, if one exists.
-    """
-    A = as_intset(A)
-    start, length = I
-    if length < 1:
-        raise DomainError("interval must be nonempty")
-    if start < 1:
-        raise DomainError("interval must start at a positive integer")
-    end = start + length - 1
-
-    def divides_some(n: int) -> bool:
-        return (end // n) * n >= start
-
-    nondividing = sum(1 for n in A if not divides_some(n))
-    qs = ppowers_in_set(A, t)
-    D = []
-    for q in qs:
-        misses = sum(1 for n in subset_aq(A, q, t) if not divides_some(n))
-        if misses * q < eta * M:
-            D.append(q)
-    X = math.lcm(*D) if D else 1
-    x0 = ((start + X - 1) // X) * X
-    common_x = x0 if x0 <= end else None
-    return IntervalReport(
-        interval=(start, length),
-        nondividing_count=nondividing,
-        D_I=IntSet(D),
-        common_x=common_x,
     )

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError, InconclusiveError, RangeError
-from .rational import IntSet, SetLike, as_intset, format_rational, fraction_sum, recip_sum
+from .rational import IntSet, SetLike, as_intset, format_rational, recip_sum
 from .sieve import FactorTable, largest_prime
 from .solver import SolverConfig, SolverStatus, Strategy, find_subset
 
@@ -83,21 +83,3 @@ def verify_report(report: PomeranceReport, budget: int = 10_000_000) -> Pomeranc
     """Return a copy of the report with the verification fields filled in."""
     free = verify_solution_free(report.members, budget)
     return replace(report, verified_free=free, verify_budget=budget)
-
-
-def lambda_lower_curve(Ns: list[int], C: float, t: FactorTable) -> list[tuple[int, Fraction]]:
-    """Reciprocal sum of the qualifying set at each N, nondecreasing in N."""
-    if not Ns:
-        return []
-    top = max(Ns)
-    if top > t.bound:
-        raise RangeError(f"max(Ns)={top} exceeds table bound {t.bound}")
-    if min(Ns) < 2:
-        raise RangeError("every N must be >= 2")
-    if C <= 0:
-        raise DomainError("C must be positive")
-    members = [n for n in range(2, top + 1) if _qualifies(n, C, t)]
-    out = []
-    for N in Ns:
-        out.append((N, fraction_sum((1, n) for n in members if n <= N)))
-    return out

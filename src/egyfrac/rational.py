@@ -10,14 +10,12 @@ import json
 import math
 import operator
 import re
+from bisect import bisect_left
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, TypeVar, Union
 
 from .errors import DomainError
-
-# All rational quantities in this package are plain stdlib Fractions.
-Rational = Fraction
 
 SetLike = Union["IntSet", Iterable[int]]
 _T = TypeVar("_T")
@@ -53,8 +51,8 @@ class IntSet:
         return len(self.elements)
 
     def __contains__(self, n) -> bool:
-        i = _bisect(self.elements, n)
-        return i >= 0
+        i = bisect_left(self.elements, n)
+        return i < len(self.elements) and self.elements[i] == n
 
     def __eq__(self, other) -> bool:
         if isinstance(other, IntSet):
@@ -104,17 +102,6 @@ class IntSet:
         if text.lstrip().startswith("["):
             return cls.from_json(text)
         return cls.from_text(text)
-
-
-def _bisect(elems: tuple, n) -> int:
-    lo, hi = 0, len(elems)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if elems[mid] < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo < len(elems) and elems[lo] == n else -1
 
 
 def as_intset(A: SetLike) -> IntSet:

@@ -6,8 +6,8 @@ import numpy as np
 from .errors import DomainError, RangeError, ResourceLimitError
 from .rational import IntSet
 
-# Default ceiling on table size: int32 entries, roughly 256 MB.
-DEFAULT_MAX_ENTRIES = 64_000_000
+# Ceiling on table size: int32 entries, roughly 256 MB.
+_MAX_ENTRIES = 64_000_000
 
 Factorization = list[tuple[int, int]]
 
@@ -62,14 +62,12 @@ class FactorTable:
             raise RangeError(f"n={n} exceeds table bound {self.bound}")
 
 
-def build_table(N: int, *, max_entries: int = DEFAULT_MAX_ENTRIES) -> FactorTable:
+def build_table(N: int) -> FactorTable:
     """Sieve smallest prime factors for 2..N."""
     if N < 2:
         raise DomainError(f"table bound must be >= 2, got {N}")
-    if N + 1 > max_entries:
-        raise ResourceLimitError(
-            f"table bound {N} exceeds the configured budget of {max_entries} entries"
-        )
+    if N + 1 > _MAX_ENTRIES:
+        raise ResourceLimitError(f"table bound {N} exceeds the budget of {_MAX_ENTRIES} entries")
     spf = np.zeros(N + 1, dtype=np.int32 if N < 2**31 else np.int64)
     i = 2
     while i * i <= N:

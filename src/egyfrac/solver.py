@@ -8,6 +8,9 @@ running out of node budget is reported as a status rather than an error.
 The searches and the enumeration counters work in integer units of 1/L,
 L a common multiple of the elements and of the target's denominator: a
 subset sum is then an int, and no Fraction is formed per node.
+
+The size limits of the residue DPs and of the counters' enumeration are
+the module constants _DP_LCM_BOUND, _DP_SUM_BOUND and _EXHAUSTIVE_BOUND.
 """
 from __future__ import annotations
 
@@ -23,6 +26,12 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 from .rational import IntSet, SetLike, as_intset, recip_sum
 from .sieve import prime_factors
+
+# count_subsets and count_integral enumerate subset sums up to this many elements
+_EXHAUSTIVE_BOUND = 24
+# the residue DPs run only up to this lcm and this scaled target
+_DP_LCM_BOUND = 10_000_000
+_DP_SUM_BOUND = 50_000_000
 
 
 class Strategy(str, Enum):
@@ -43,8 +52,6 @@ class SolverConfig:
     strategy: Strategy = Strategy.AUTO
     node_budget: int = 10_000_000
     deterministic: bool = True
-    dp_lcm_bound: int = 10_000_000
-    dp_sum_bound: int = 50_000_000
 
     def __post_init__(self):
         if self.node_budget <= 0:
@@ -244,9 +251,7 @@ def _find_meet(elems: Sequence[int], target: Fraction, cfg: SolverConfig, nodes:
 # scaled-integer reachability (works in units of 1/lcm)
 
 
-def _scaled(
-    elems: Sequence[int], target: Fraction, lcm_bound: int, sum_bound: int
-) -> Optional[tuple[list[int], int]]:
+def _scaled(elems: Sequence[int], target: Fraction) -> Optional[tuple[list[int], int]]:
     """Scale the problem to integers in units of 1/L, L = lcm(elems).
 
     Returns the weights L/n and the scaled target T, or None when no subset
@@ -255,8 +260,8 @@ def _scaled(
     Raises ResourceLimitError when L or T is past its bound.
     """
     L = math.lcm(*elems)
-    if L > lcm_bound:
-        raise ResourceLimitError(f"lcm {L} exceeds dp_lcm_bound {lcm_bound}")
+    if L > _DP_LCM_BOUND:
+        raise ResourceLimitError(f"lcm {L} exceeds the residue-DP bound {_DP_LCM_BOUND}")
     scaled = target * L
     if scaled.denominator != 1:
         return None
@@ -264,8 +269,8 @@ def _scaled(
     weights = [L // n for n in elems]
     if T > sum(weights):
         return None
-    if T > sum_bound:
-        raise ResourceLimitError(f"scaled target {T} exceeds dp_sum_bound {sum_bound}")
+    if T > _DP_SUM_BOUND:
+        raise ResourceLimitError(f"scaled target {T} exceeds the residue-DP bound {_DP_SUM_BOUND}")
     return weights, T
 
 
@@ -304,13 +309,11 @@ def _find_residue(
 # public entry points
 
 
-def _pick_strategy(
-    elems: Sequence[int], target: Fraction, cfg: SolverConfig
-) -> tuple[Strategy, Optional[tuple[list[int], int]]]:
+def _pick_strategy(elems: Sequence[int], target: Fraction) -> tuple[Strategy, Optional[tuple[list[int], int]]]:
     """The strategy ``auto`` runs, with the residue DP's ``_scaled`` result when it picks that."""
     if len(elems) >= 24:
         try:
-            return Strategy.RESIDUE_DP, _scaled(elems, target, cfg.dp_lcm_bound, cfg.dp_sum_bound)
+            return Strategy.RESIDUE_DP, _scaled(elems, target)
         except ResourceLimitError:
             pass
     return Strategy.DFS_BNB, None
@@ -330,9 +333,9 @@ def find_subset(A: SetLike, target, cfg: SolverConfig = SolverConfig()) -> Solve
     elems = list(A.elements)
     strategy, scaled = cfg.strategy, None
     if strategy == Strategy.AUTO:
-        strategy, scaled = _pick_strategy(elems, target, cfg)
+        strategy, scaled = _pick_strategy(elems, target)
     elif strategy == Strategy.RESIDUE_DP:
-        scaled = _scaled(elems, target, cfg.dp_lcm_bound, cfg.dp_sum_bound)
+        scaled = _scaled(elems, target)
     nodes = _Nodes(cfg.node_budget)
     try:
         if strategy == Strategy.DFS_BNB:
@@ -346,26 +349,19 @@ def find_subset(A: SetLike, target, cfg: SolverConfig = SolverConfig()) -> Solve
     raise DomainError(f"unknown strategy {cfg.strategy!r}")
 
 
-def count_subsets(
-    A: SetLike,
-    target,
-    *,
-    exhaustive_bound: int = 24,
-    dp_lcm_bound: int = 10_000_000,
-    dp_sum_bound: int = 50_000_000,
-) -> int:
+def count_subsets(A: SetLike, target) -> int:
     """Exact number of subsets S of A with reciprocal sum equal to target."""
     A = as_intset(A)
     target = Fraction(target)
     if target < 0:
         return 0
     elems = list(A.elements)
-    if len(elems) <= exhaustive_bound:
+    if len(elems) <= _EXHAUSTIVE_BOUND:
         left, right = _alternating_split(elems)
         L, T = _in_units(elems, target)
         counts = Counter(_enumerate_sums(left, L, None))
         return sum(counts[T - s] for s in _enumerate_sums(right, L, None))
-    scaled = _scaled(elems, target, dp_lcm_bound, dp_sum_bound)
+    scaled = _scaled(elems, target)
     if scaled is None:
         return 0
     weights, T = scaled
@@ -377,13 +373,7 @@ def count_subsets(
     return int(dp[T])
 
 
-def count_integral(
-    A: SetLike,
-    k: int,
-    *,
-    exhaustive_bound: int = 24,
-    dp_lcm_bound: int = 10_000_000,
-) -> int:
+def count_integral(A: SetLike, k: int) -> int:
     """Exact number of subsets S of A for which k * recip_sum(S) is an integer.
 
     Computed by dynamic programming over residues of k*(L/n) modulo
@@ -396,19 +386,19 @@ def count_integral(
         raise DomainError("k must be a positive integer")
     elems = list(A.elements)
     L = math.lcm(*elems)
-    if L <= dp_lcm_bound:
+    if L <= _DP_LCM_BOUND:
         dp = np.zeros(L, dtype=_count_dtype(len(elems)))
         dp[0] = 1
         for n in elems:
             dp = dp + np.roll(dp, (k * (L // n)) % L)
         return int(dp[0])
-    if len(elems) <= exhaustive_bound:
+    if len(elems) <= _EXHAUSTIVE_BOUND:
         # k * (S_left + S_right) / L is an integer iff k * S_left = -k * S_right (mod L)
         left, right = _alternating_split(elems)
         counts = Counter((k * s) % L for s in _enumerate_sums(left, L, None))
         return sum(counts[(-k * s) % L] for s in _enumerate_sums(right, L, None))
     raise ResourceLimitError(
-        f"|A|={len(elems)} exceeds the exhaustive bound and lcm {L} exceeds {dp_lcm_bound}"
+        f"|A|={len(elems)} exceeds the exhaustive bound and lcm {L} exceeds {_DP_LCM_BOUND}"
     )
 
 

@@ -1,8 +1,11 @@
+import argparse
 import csv
 import hashlib
 import json
+import re
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -256,22 +259,34 @@ def test_solve_reproducible_json(set_file, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,named",
     [
-        ["solve", "{set}"],
-        ["solve", "{set}", "--target", "1/1", "--strategy", "bogus"],
-        ["fourier", "{set}", "--k", "1", "--threads", "abc"],
-        ["solve", "{set}", "--target", "1/1", "--budget", "0"],
-        ["solve", "{set}", "--target", "1/1", "--out", "{tmp}/missing/r.json"],
-        ["experiment", "mertens", "--X", "50", "--out-dir", "{set}"],
+        (["solve", "{set}"], "--target"),
+        (["solve", "{set}", "--target", "1/1", "--strategy", "bogus"], "--strategy"),
+        (["fourier", "{set}", "--k", "1", "--threads", "abc"], "--threads"),
+        (["solve", "{set}", "--target", "1/1", "--budget", "0"], None),
+        (["solve", "{set}", "--target", "1/1", "--out", "{tmp}/missing/r.json"], None),
+        (["experiment", "mertens", "--X", "50", "--out-dir", "{set}"], None),
+        (["decompose", "{set}", "--table-bound", "5"], "--table-bound"),
+        (["experiment", "prune-demo", "--y", "0", "--out-dir", "{tmp}"], "--y"),
+        (["experiment", "prune-demo", "--y", "-3", "--out-dir", "{tmp}"], "--y"),
+        (["experiment", "sieve", "--N", "100", "--z", "inf", "--out-dir", "{tmp}"], "--z"),
+        (["experiment", "pomerance", "--N", "0", "--out-dir", "{tmp}"], "--N"),
+        (["experiment", "pomerance", "--N", "30", "--step", "0", "--out-dir", "{tmp}"], "--step"),
+        (["experiment", "pomerance", "--N", "30", "--step", "-5", "--out-dir", "{tmp}"], "--step"),
     ],
-    ids=["missing-target", "bad-strategy", "bad-threads", "zero-budget", "out-in-missing-dir", "out-dir-is-file"],
+    ids=["missing-target", "bad-strategy", "bad-threads", "zero-budget", "out-in-missing-dir", "out-dir-is-file",
+         "decompose-table-bound", "prune-demo-y-zero", "prune-demo-y-negative", "sieve-z-inf",
+         "pomerance-N-zero", "pomerance-step-zero", "pomerance-step-negative"],
 )
-def test_usage_errors_exit_64(argv, set_file, tmp_path, capsys):
-    # argparse must not exit 2, the budget code, and none of these may end in a traceback
+def test_usage_errors_exit_64(argv, named, set_file, tmp_path, capsys):
+    # argparse must not exit 2, the budget code, and none of these may end in a traceback;
+    # a message about a bad option value names the option
     argv = [a.format(set=set_file, tmp=tmp_path) for a in argv]
     assert main(argv) == 64
-    assert capsys.readouterr().err.startswith("egyfrac: error:")
+    err = capsys.readouterr().err
+    assert err.startswith("egyfrac: error:")
+    assert named is None or named in err, err
 
 
 def test_out_dir_env_naming_a_file_exits_64(set_file, tmp_path, monkeypatch, capsys):
@@ -284,6 +299,25 @@ def test_experiment_lambda_honours_budget(tmp_path, capsys):
     assert main(["experiment", "lambda", "--max", "8", "--budget", "1", "--out-dir", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("egyfrac: error:")
     assert not (tmp_path / "lambda_8.csv").exists()
+
+
+def test_readme_documents_every_cli_option():
+    # each subcommand's usage in README is its "egyfrac <command>" lines and their indented continuations
+    usage: dict[str, str] = {}
+    command = None
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("egyfrac "):
+            command = line.split()[1]
+        elif not line.startswith(" "):
+            command = None
+        if command:
+            usage[command] = usage.get(command, "") + line + "\n"
+    subparsers = next(a for a in egyfrac.cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            for opt in action.option_strings:
+                if opt not in ("-h", "--help"):
+                    assert re.search(re.escape(opt) + r"(?![\w-])", usage.get(name, "")), (name, opt)
 
 
 def test_programming_errors_are_not_mapped(tmp_path, monkeypatch):

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -9,12 +8,10 @@ from egyfrac import (
     IntSet,
     build_decomposition,
     exact_prime_powers,
-    gcd_ppower_recip_sum,
     omega,
     ppowers_in_set,
     qsum_check,
     rec_sum_q,
-    smooth_cofactor,
     subset_aq,
 )
 
@@ -39,57 +36,6 @@ def test_rec_sum_q_examples(small_table):
     assert rec_sum_q([12, 36], 4, small_table) == Fraction(4, 9)
     assert rec_sum_q([4], 4, small_table) == Fraction(1)
     assert rec_sum_q([3, 5], 7, small_table) == Fraction(0)
-
-
-def _cofactor_candidates(n, q, y, t):
-    """Oracle: every divisor d of n/q meeting the three exit conditions."""
-    m = n // q
-    out = []
-    for d in range(1, m + 1):
-        if m % d == 0:
-            qd = q * d
-            if n % qd == 0 and math.gcd(qd, n // qd) == 1:
-                if all(pk > y for pk in exact_prime_powers(d, t)) if d > 1 else True:
-                    out.append(d)
-    return out
-
-
-def test_smooth_cofactor_examples(small_table):
-    # oracle cross-check: the result is the largest valid cofactor
-    for n, q, y, expected in [(360, 8, 4, 45), (360, 8, 5, 9), (360, 8, 100, 1)]:
-        cands = _cofactor_candidates(n, q, y, small_table)
-        assert smooth_cofactor(n, q, y, small_table) == expected == max(cands)
-
-
-def test_smooth_cofactor_precondition(small_table):
-    with pytest.raises(DomainError):
-        smooth_cofactor(360, 4, 2, small_table)  # 360/4 shares the factor 2
-    with pytest.raises(DomainError):
-        smooth_cofactor(360, 6, 2, small_table)  # not a prime power
-
-
-def test_smooth_cofactor_exhaustive_desk_check(small_table):
-    for n in range(2, 10_001):
-        qs = exact_prime_powers(n, small_table)
-        for q in qs:
-            m = n // q
-            for y in (1, 2, 5, 10, 100):
-                d = smooth_cofactor(n, q, y, small_table)
-                qd = q * d
-                assert n % qd == 0
-                assert math.gcd(qd, n // qd) == 1
-                if d > 1:
-                    assert all(pk > y for pk in exact_prime_powers(d, small_table))
-                stripped = math.prod(
-                    pk for pk in exact_prime_powers(m, small_table) if pk <= y
-                ) if m > 1 else 1
-                assert qd > m // stripped
-
-
-def test_gcd_ppower_recip_sum_examples(small_table):
-    assert gcd_ppower_recip_sum(12, 18, small_table) == Fraction(5, 6)
-    assert gcd_ppower_recip_sum(7, 9, small_table) == Fraction(0)
-    assert gcd_ppower_recip_sum(8, 8, small_table) == Fraction(7, 8)
 
 
 def test_qsum_check_examples(small_table):

@@ -15,7 +15,6 @@ from egyfrac import (
     passes_smoothness,
     prime_powers_upto,
     sieve_survivors,
-    two_prime_pair_set,
 )
 from helpers import trial_factorize, trial_is_prime
 
@@ -92,22 +91,6 @@ def test_sieve_survivors_window_monotone(small_table):
     base = sieve_survivors(1, 2000, 5, 20, small_table)
     wider = sieve_survivors(1, 2000, 3, 50, small_table)
     assert set(wider.elements) <= set(base.elements)
-
-
-def test_two_prime_pair_set_examples(small_table):
-    # oracle: scan all n <= 100 for an admissible prime pair
-    expected = []
-    for n in range(1, 101):
-        ps = [p for p, _ in trial_factorize(n)] if n > 1 else []
-        window = [p for p in ps if 2 <= p <= 11]
-        if any(4 * p1 < p2 for p1 in window for p2 in window):
-            expected.append(n)
-    assert expected == [22, 44, 66, 88]
-    assert two_prime_pair_set(100, 2, 11, small_table) == IntSet(expected)
-    assert two_prime_pair_set(10, 2, 3, small_table) == IntSet([])
-    assert two_prime_pair_set(30, 2, 9, small_table) == IntSet([])
-    with pytest.raises(RangeError):
-        two_prime_pair_set(10_001, 2, 9, small_table)
 
 
 def test_prime_powers_upto(small_table):

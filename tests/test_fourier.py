@@ -17,7 +17,6 @@ from egyfrac import (
     cosine_weight,
     count_integral,
     fourier_count,
-    interval_coverage,
     lcm_set,
     orthogonality_sum,
     recip_sum,
@@ -286,38 +285,3 @@ def test_major_arc_contribution_nonnegative():
                 prod *= 1 + complex(math.cos(2 * math.pi * theta), math.sin(2 * math.pi * theta))
             total += prod.real
         assert total >= -1e-9 * (2 ** len(A)), (A, k, total)
-
-
-def test_interval_coverage_examples(small_table):
-    rep = interval_coverage([2, 3, 6], (6, 1), 1, 6, small_table)
-    assert rep.nondividing_count == 0
-    assert rep.D_I == IntSet([2, 3])
-    assert rep.common_x == 6
-    rep = interval_coverage([2, 3, 6], (7, 1), 1, 6, small_table)
-    assert rep.nondividing_count == 3
-    rep = interval_coverage([4], (4, 4), 1, 4, small_table)
-    assert rep.nondividing_count == 0
-    assert rep.D_I == IntSet([4])
-    assert rep.common_x == 4
-
-
-def test_interval_coverage_no_common_multiple(small_table):
-    rep = interval_coverage([4, 9], (10, 2), 1, 40, small_table)
-    # generous eta*M admits both classes, so D_I = {4, 9}; lcm 36 misses I
-    assert rep.D_I == IntSet([4, 9])
-    assert rep.common_x is None
-    with pytest.raises(DomainError):
-        interval_coverage([4], (4, 0), 1, 1, small_table)
-
-
-def test_interval_common_x_divisible(small_table):
-    rng = random.Random(46)
-    for _ in range(40):
-        A = IntSet(rng.sample(range(2, 200), rng.randint(1, 10)))
-        start = rng.randint(1, 500)
-        length = rng.randint(1, 60)
-        rep = interval_coverage(A, (start, length), 0.8, float(len(A)), small_table)
-        if rep.common_x is not None:
-            assert start <= rep.common_x <= start + length - 1
-            for q in rep.D_I:
-                assert rep.common_x % q == 0

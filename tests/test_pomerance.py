@@ -9,7 +9,6 @@ from egyfrac import (
     IntSet,
     RangeError,
     lambda_exact,
-    lambda_lower_curve,
     largest_prime,
     pomerance_set,
     recip_sum,
@@ -72,24 +71,15 @@ def test_verify_report_fills_fields(small_table):
     assert d["verified_free"] is True and d["size"] == len(rep.members)
 
 
-def test_lambda_lower_curve_examples(small_table):
-    assert lambda_lower_curve([10], 1, small_table) == [(10, Fraction(71, 105))]
-    vals = lambda_lower_curve([3, 10], 1, small_table)
-    assert vals[0][1] <= vals[1][1]
-    assert lambda_lower_curve([2], 1, small_table) == [(2, Fraction(0))]
-    with pytest.raises(RangeError):
-        lambda_lower_curve([10_001], 1, small_table)
-
-
 def test_curve_nondecreasing(small_table):
-    vals = [v for _, v in lambda_lower_curve(list(range(2, 300)), 1, small_table)]
+    vals = [pomerance_set(N, 1, small_table).recip for N in range(2, 300)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
 def test_curve_below_exact_lambda(small_table):
     # the construction is one admissible set, so it cannot beat the optimum
     for N in range(2, 31):
-        constructed = lambda_lower_curve([N], 1, small_table)[0][1]
+        constructed = pomerance_set(N, 1, small_table).recip
         exact, _ = lambda_exact(N)
         assert constructed <= exact
 

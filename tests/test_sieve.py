@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import egyfrac.sieve
 from egyfrac import (
     DomainError,
     IntSet,
@@ -64,7 +65,7 @@ def test_largest_prime_examples(small_table):
     assert largest_prime(100, small_table) == 5
 
 
-def test_domain_and_range_errors(small_table):
+def test_domain_and_range_errors(small_table, monkeypatch):
     for fn in (factorize, omega, exact_prime_powers, largest_prime):
         with pytest.raises(DomainError):
             fn(1, small_table)
@@ -72,8 +73,9 @@ def test_domain_and_range_errors(small_table):
             fn(10_001, small_table)
     with pytest.raises(DomainError):
         build_table(1)
+    monkeypatch.setattr(egyfrac.sieve, "_MAX_ENTRIES", 100)
     with pytest.raises(ResourceLimitError):
-        build_table(1000, max_entries=100)
+        build_table(1000)
 
 
 def test_spf_invariants(small_table):

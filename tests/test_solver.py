@@ -90,19 +90,20 @@ def test_count_subsets_examples():
     assert count_subsets([2, 3, 6], 1) == 1
 
 
-def test_count_subsets_dp_route_matches_enumeration():
+def test_count_subsets_dp_route_matches_enumeration(monkeypatch):
+    monkeypatch.setattr(solver, "_EXHAUSTIVE_BOUND", 0)
     rng = random.Random(32)
     for _ in range(40):
         A = random_lcm_capped_set(rng, 2, 48, 12, 5000)
         target = rng.choice([Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(2)])
-        via_dp = count_subsets(A, target, exhaustive_bound=0)
+        via_dp = count_subsets(A, target)
         assert via_dp == len(brute_subsets_with_sum(A, target)), (A, target)
 
 
 def test_count_subsets_resource_error():
     big = IntSet(range(2, 60))  # lcm astronomically large
     with pytest.raises(ResourceLimitError):
-        count_subsets(big, 1, exhaustive_bound=10, dp_lcm_bound=10**6)
+        count_subsets(big, 1)
 
 
 def test_count_integral_examples():
@@ -119,13 +120,15 @@ def test_count_integral_matches_brute_force():
         assert count_integral(A, k) == brute_count_integral(A, k), (A, k)
 
 
-def test_count_integral_fractional_route_matches_dp():
+def test_count_integral_fractional_route_matches_dp(monkeypatch):
     rng = random.Random(34)
     for _ in range(25):
         A = random_lcm_capped_set(rng, 2, 40, 10, 10**5)
         k = rng.randint(1, 3)
         via_dp = count_integral(A, k)
-        via_parts = count_integral(A, k, dp_lcm_bound=1)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_DP_LCM_BOUND", 1)
+            via_parts = count_integral(A, k)
         assert via_dp == via_parts
 
 
@@ -294,10 +297,12 @@ def test_meet_matches_fraction_reference(deterministic):
         assert _outcome(find_subset(A, target, cfg)) == expected, (A, target, budget)
 
 
-def test_counters_match_fraction_reference():
+def test_counters_match_fraction_reference(monkeypatch):
     rng = random.Random(44)
     for A, target, _ in _equivalence_instances(44, 80, 16):
         assert count_subsets(A, target) == reference_count_subsets(A, target), (A, target)
         k = rng.randint(1, 4)
-        # dp_lcm_bound=1 forces the enumeration branch of count_integral
-        assert count_integral(A, k, dp_lcm_bound=1) == reference_count_integral(A, k), (A, k)
+        # an lcm bound of 1 forces the enumeration branch of count_integral
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_DP_LCM_BOUND", 1)
+            assert count_integral(A, k) == reference_count_integral(A, k), (A, k)
