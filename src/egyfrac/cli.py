@@ -226,6 +226,8 @@ def _experiment_pomerance(args):
 
 
 def _experiment_lambda(args):
+    if args.max < 2:
+        raise DomainError(f"--max must be at least 2, got {args.max}")
     rows = [["N", "value_exact", "value_float", "witness"]]
     for N in range(2, args.max + 1):
         value, witness = lambda_exact(N, max_n=args.max, node_budget=args.budget)
@@ -242,6 +244,12 @@ def _experiment_prune_demo(args):
     """
     if args.y <= 0:
         raise DomainError(f"--y must be positive, got {args.y}")
+    # a missing omega bound leaves that side open
+    omega_bounded = args.omega_lo is not None or args.omega_hi is not None
+    omega_lo = -math.inf if args.omega_lo is None else args.omega_lo
+    omega_hi = math.inf if args.omega_hi is None else args.omega_hi
+    if omega_lo > omega_hi:
+        raise DomainError(f"--omega-lo {omega_lo} exceeds --omega-hi {omega_hi}")
     t = build_table(max(args.hi, 2))
     theta = parse_rational(args.theta)
     pool = []
@@ -250,7 +258,7 @@ def _experiment_prune_demo(args):
             continue
         if args.smooth_bound is not None and not passes_smoothness(n, args.smooth_bound, t):
             continue
-        if args.omega_lo is not None and not omega_in_range(n, args.omega_lo, args.omega_hi, t):
+        if omega_bounded and not omega_in_range(n, omega_lo, omega_hi, t):
             continue
         pool.append(n)
     stages = []

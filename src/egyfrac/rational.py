@@ -3,11 +3,17 @@
 The two workhorses are ``recip_sum`` (the reciprocal sum of a set, computed
 exactly) and ``lcm_set``.  All rational values are ``fractions.Fraction``
 instances, which are always stored reduced with a positive denominator.
+
+Sums go through one kernel, ``fraction_sum``, a ``balanced_merge`` that
+divides out the gcd of the two denominators at each step.  Where a caller
+has proved its result in lowest terms (the Mertens sums of ``filters``),
+``_reduced_fraction`` builds the ``Fraction`` without the final gcd.
 """
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import re
 from bisect import bisect_left
@@ -128,11 +134,46 @@ def balanced_merge(terms: list[_T], merge: Callable[[_T, _T], _T], empty: _T) ->
 def fraction_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
     """Exact sum of num/den pairs via balanced pairwise merging.
 
-    The result is identical to naive left-to-right Fraction accumulation.
+    Each merge divides out g = gcd(b, d):
+    a/b + c/d = (a*(d/g) + c*(b/g)) / ((b/g)*d), so a merged denominator is
+    the lcm of the denominators below it rather than their product, and
+    the final reduction works on lcm-sized integers.  The result is
+    identical to naive left-to-right Fraction accumulation.
     """
-    terms = [(n, d) for n, d in pairs]
-    num, den = balanced_merge(terms, lambda x, y: (x[0] * y[1] + y[0] * x[1], x[1] * y[1]), (0, 1))
+    num, den = balanced_merge(list(pairs), _gcd_add, (0, 1))
     return Fraction(num, den)
+
+
+def _gcd_add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    (a, b), (c, d) = x, y
+    g = math.gcd(b, d)
+    if g == 1:
+        return a * d + c * b, b * d
+    b //= g
+    return a * (d // g) + c * b, b * d
+
+
+class _Reduced:
+    """A numerator/denominator pair already in lowest terms.
+
+    ``Fraction(x)`` copies the two attributes of any ``numbers.Rational``
+    as they are, with no gcd; ``Fraction(num, den, _normalize=False)``
+    would do the same but is gone from Python 3.12.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator = numerator
+        self.denominator = denominator
+
+
+numbers.Rational.register(_Reduced)
+
+
+def _reduced_fraction(num: int, den: int) -> Fraction:
+    """The Fraction num/den, for den > 0 and gcd(num, den) == 1 proved by the caller."""
+    return Fraction(_Reduced(num, den))
 
 
 def recip_sum(A: SetLike) -> Fraction:

@@ -44,8 +44,9 @@ class FactorTable:
     def primes(self) -> np.ndarray:
         """All primes <= bound, ascending (computed once, then cached)."""
         if self._primes is None:
-            idx = np.arange(self.bound + 1, dtype=self._spf.dtype)
-            object.__setattr__(self, "_primes", np.flatnonzero(self._spf == idx))
+            # spf(0) == 0 and spf(1) == 0 are placeholders, not fixed points
+            idx = np.arange(2, self.bound + 1, dtype=self._spf.dtype)
+            object.__setattr__(self, "_primes", np.flatnonzero(self._spf[2:] == idx) + 2)
         return self._primes
 
     def primes_between(self, lo: float, hi: float) -> list[int]:

@@ -9,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from egyfrac import build_table, format_rational, mertens_q_sum, parse_rational
+from egyfrac import build_table, format_rational, has_divisor_pair, mertens_q_sum, parse_rational
 import egyfrac.cli
 import egyfrac.fourier
 from egyfrac.cli import main
-from helpers import divisors_above_one
+from helpers import divisors_above_one, trial_factorize
 
 
 @pytest.fixture()
@@ -218,6 +218,30 @@ def test_experiment_prune_demo_skips_stages_over_the_memory_budget(tmp_path, mon
 
 
 @pytest.mark.parametrize(
+    "flags,keep",
+    [(["--omega-lo", "2"], lambda w: w >= 2), (["--omega-hi", "1"], lambda w: w <= 1)],
+    ids=["lo-only", "hi-only"],
+)
+def test_experiment_prune_demo_one_omega_bound(flags, keep, tmp_path, capsys):
+    # a missing omega bound is open: --omega-lo alone used to raise TypeError,
+    # and --omega-hi alone used to be ignored
+    rc = main(["experiment", "prune-demo", "--lo", "4", "--hi", "60", "--y", "1", "--z", "12", *flags,
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    payload = json.loads((tmp_path / "prune_demo_4_60.json").read_text())
+    want = [n for n in range(4, 61) if has_divisor_pair(n, 1, 12) and keep(len(trial_factorize(n)))]
+    assert payload["pool_size"] == len(want)
+    capsys.readouterr()
+
+
+def test_experiment_prune_demo_omega_bounds_crossed(tmp_path, capsys):
+    argv = ["experiment", "prune-demo", "--omega-lo", "3", "--omega-hi", "2", "--out-dir", str(tmp_path)]
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert "--omega-lo" in err and "--omega-hi" in err, err
+
+
+@pytest.mark.parametrize(
     "argv",
     [["solve", "{set}", "--target", "1/0"], ["experiment", "prune-demo", "--theta", "1/0", "--out-dir", "{tmp}"]],
     ids=["solve-target", "prune-demo-theta"],
@@ -274,10 +298,11 @@ def test_solve_reproducible_json(set_file, tmp_path):
         (["experiment", "pomerance", "--N", "0", "--out-dir", "{tmp}"], "--N"),
         (["experiment", "pomerance", "--N", "30", "--step", "0", "--out-dir", "{tmp}"], "--step"),
         (["experiment", "pomerance", "--N", "30", "--step", "-5", "--out-dir", "{tmp}"], "--step"),
+        (["experiment", "lambda", "--max", "1", "--out-dir", "{tmp}"], "--max"),
     ],
     ids=["missing-target", "bad-strategy", "bad-threads", "zero-budget", "out-in-missing-dir", "out-dir-is-file",
          "decompose-table-bound", "prune-demo-y-zero", "prune-demo-y-negative", "sieve-z-inf",
-         "pomerance-N-zero", "pomerance-step-zero", "pomerance-step-negative"],
+         "pomerance-N-zero", "pomerance-step-zero", "pomerance-step-negative", "lambda-max-one"],
 )
 def test_usage_errors_exit_64(argv, named, set_file, tmp_path, capsys):
     # argparse must not exit 2, the budget code, and none of these may end in a traceback;

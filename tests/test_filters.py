@@ -8,6 +8,7 @@ from egyfrac import (
     DomainError,
     IntSet,
     RangeError,
+    build_table,
     has_divisor_pair,
     mertens_product,
     mertens_q_sum,
@@ -122,6 +123,43 @@ def test_mertens_product_examples(small_table):
     assert oracle == Fraction(35, 8)
     assert mertens_product(10, small_table) == oracle
     assert mertens_product(1, small_table) == Fraction(1)
+
+
+def test_mertens_sums_match_naive_references(small_table):
+    # oracle: running left-to-right Fraction sum and product, one X at a time
+    q_sum, product = Fraction(0), Fraction(1)
+    for X in range(2, 2001):
+        factors = trial_factorize(X)
+        if len(factors) == 1:
+            q_sum += Fraction(1, X)
+            if factors[0][1] == 1:
+                product *= Fraction(X, X - 1)
+        for got, want in ((mertens_q_sum(X, small_table), q_sum), (mertens_product(X, small_table), product)):
+            assert type(got) is Fraction
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator), X
+
+
+@pytest.mark.parametrize("X", [2**16, 10**5])
+def test_mertens_sums_at_scale_are_reduced(X):
+    t = build_table(X)
+    primes = [p for p in range(2, X + 1) if trial_is_prime(p)]
+    q_sum = mertens_q_sum(X, t)
+    product = mertens_product(X, t)
+    # oracle: the sum over L = lcm(1..X) and the plain product, reduced by Fraction
+    L = math.prod(max(_powers_upto(p, X)) for p in primes)
+    want_q = Fraction(sum(L // q for p in primes for q in _powers_upto(p, X)), L)
+    want_product = Fraction(math.prod(primes), math.prod(p - 1 for p in primes))
+    assert (q_sum.numerator, q_sum.denominator) == (want_q.numerator, want_q.denominator)
+    assert (product.numerator, product.denominator) == (want_product.numerator, want_product.denominator)
+    for r in (q_sum, product):
+        assert math.gcd(r.numerator, r.denominator) == 1
+
+
+def _powers_upto(p, X):
+    q = p
+    while q <= X:
+        yield q
+        q *= p
 
 
 def test_mertens_product_tracks_log(small_table):

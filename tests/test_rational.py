@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from egyfrac import DomainError, IntSet, format_rational, lcm_set, parse_rational, recip_sum
+from egyfrac import DomainError, IntSet, format_rational, fraction_sum, lcm_set, parse_rational, recip_sum
 
 small_sets = st.lists(st.integers(min_value=1, max_value=500), max_size=12)
 
@@ -49,6 +49,25 @@ def test_reduction_idempotent(xs):
     assert r.denominator > 0
     assert math.gcd(r.numerator, r.denominator) == 1
     assert Fraction(r.numerator, r.denominator) == r
+
+
+# denominators drawn as products of small primes, so that pairs share
+# factors often, plus large primes, so that coprime pairs occur too
+_dens = st.one_of(
+    st.builds(math.prod, st.lists(st.sampled_from([2, 3, 5, 7]), max_size=6)),
+    st.sampled_from([10007, 65537, 999983]),
+    st.integers(min_value=1, max_value=10**6),
+)
+
+
+@given(st.lists(st.tuples(st.integers(min_value=-50, max_value=50), _dens), max_size=40))
+def test_fraction_sum_matches_left_to_right(pairs):
+    oracle = Fraction(0)
+    for n, d in pairs:
+        oracle += Fraction(n, d)
+    got = fraction_sum(pairs)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (oracle.numerator, oracle.denominator)
 
 
 def test_intset_normalization():

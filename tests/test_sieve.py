@@ -92,6 +92,12 @@ def test_primes_between(small_table):
     assert small_table.primes_between(8, 10) == []
 
 
+def test_primes_list_starts_at_two():
+    # spf(0) == 0 once made 0 look like a fixed point of spf
+    assert build_table(10).primes.tolist() == [2, 3, 5, 7]
+    assert build_table(2).primes.tolist() == [2]
+
+
 def test_is_prime_power():
     assert is_prime_power(8) and is_prime_power(7) and is_prime_power(9)
     assert not is_prime_power(1)
