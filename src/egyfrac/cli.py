@@ -333,11 +333,20 @@ def cmd_experiment(args) -> int:
 
 
 def _finite_float(text: str) -> float:
-    # --y and --z reach ceil, floor and log, which infinities and NaN break
+    # --y and --z reach ceil, floor and log, which infinities and NaN break;
+    # C and the smoothness and omega bounds are compared, and every comparison
+    # with NaN is false, so a NaN would silently empty the set or the pool
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value
+
+
+def _finite_float_list(text: str) -> str:
+    # checked entry by entry, but kept as given: the manifest records the text
+    for entry in text.split(","):
+        _finite_float(entry)
+    return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -375,17 +384,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=1000)
     p.add_argument("--y", type=_finite_float, default=3.0)
     p.add_argument("--z", type=_finite_float, default=100.0)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--sweep-C", default=None, help='comma list of C values, e.g. "0.5,1,2"')
+    p.add_argument("--C", type=_finite_float, default=1.0)
+    p.add_argument("--sweep-C", type=_finite_float_list, default=None, help='comma list of C values, e.g. "0.5,1,2"')
     p.add_argument("--step", type=int, default=None)
     p.add_argument("--budget", type=int, default=10_000_000)
     p.add_argument("--max", type=int, default=10)
     p.add_argument("--lo", type=int, default=4)
     p.add_argument("--hi", type=int, default=200)
     p.add_argument("--theta", default="0")
-    p.add_argument("--smooth-bound", type=float, default=None)
-    p.add_argument("--omega-lo", type=float, default=None)
-    p.add_argument("--omega-hi", type=float, default=None)
+    p.add_argument("--smooth-bound", type=_finite_float, default=None)
+    p.add_argument("--omega-lo", type=_finite_float, default=None)
+    p.add_argument("--omega-hi", type=_finite_float, default=None)
     p.add_argument("--lcm-bound", type=int, default=DEFAULT_LCM_BOUND)
     p.set_defaults(func=cmd_experiment)
 

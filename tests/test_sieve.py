@@ -37,6 +37,15 @@ def test_factorize_matches_trial_division(small_table):
         assert factorize(n, small_table) == trial_factorize(n)
 
 
+@pytest.mark.parametrize(
+    "elems",
+    [list(range(1, 3001)), [1, 2**40, 3 * 5**7, 2**20 * 999_983], [97, 4096, 9973 * 3], []],
+    ids=["dense-sieved", "sparse-trial", "small-trial", "empty"],
+)
+def test_factorize_all_matches_trial_division(elems):
+    assert egyfrac.sieve.factorize_all(elems) == {n: trial_factorize(n) for n in elems}
+
+
 def test_exact_prime_powers_examples(small_table):
     assert exact_prime_powers(12, small_table) == IntSet([4, 3])
     assert exact_prime_powers(8, small_table) == IntSet([8])

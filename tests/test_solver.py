@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +18,7 @@ from egyfrac import (
     find_subset,
     lambda_exact,
     recip_sum,
+    reduce_to_core,
 )
 from egyfrac import solver
 from egyfrac.sieve import prime_factors
@@ -306,3 +309,91 @@ def test_counters_match_fraction_reference(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(solver, "_DP_LCM_BOUND", 1)
             assert count_integral(A, k) == reference_count_integral(A, k), (A, k)
+
+
+def _solution_elements(A, target) -> set[int]:
+    """The union of all subsets of A with reciprocal sum target, by enumerating
+    every subset sum in units of 1/L."""
+    L = math.lcm(target.denominator, *A)
+    T = target * L
+    sums = [(0, 0)]  # (sum in units of 1/L, bitmask of the subset)
+    for i, n in enumerate(A):
+        sums += [(s + L // n, mask | 1 << i) for s, mask in sums]
+    used = 0
+    for s, mask in sums:
+        if s == T:
+            used |= mask
+    return {n for i, n in enumerate(A) if used >> i & 1}
+
+
+def test_reduce_to_core_removes_no_solution_element():
+    removed = 0
+    for A, target, _ in _equivalence_instances(51, 400, 12):
+        red = reduce_to_core(A, target)
+        assert _solution_elements(A, target) <= set(red.core), (A, target)
+        assert sorted(red.core.elements + red.removed.elements) == A
+        assert sorted(n for _, dead in red.steps for n in dead) == list(red.removed)
+        removed += len(red.removed)
+        if target.denominator in (7, 49 * 2, 16):
+            # 7 and 16 divide no element: no subset can reach the target
+            assert not red.core, (A, target)
+    assert removed > 0
+
+
+def _p_adic_valuation(x: int, p: int) -> int:
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _meets_condition(S, p: int, P: int, target: Fraction) -> bool:
+    # sum of P/n over S is P*target mod P as p-adic numbers: their difference over P has no p below
+    diff = sum((Fraction(P, n) for n in S), Fraction(0)) - P * target
+    return (diff / P).denominator % p != 0
+
+
+def test_reduce_to_core_certificate_replays():
+    # at each step, no subset of the prime's class among the elements still
+    # present meets its congruence and contains a removed element
+    steps = 0
+    for A, target, _ in _equivalence_instances(52, 250, 12):
+        red = reduce_to_core(A, target)
+        alive = set(A)
+        for p, dead in red.steps:
+            cls = sorted(n for n in alive if n % p == 0)
+            v = max([_p_adic_valuation(n, p) for n in cls] + [_p_adic_valuation(target.denominator, p)])
+            P = p**v
+            for n in dead:
+                rest = [m for m in cls if m != n]
+                forced = [n] if n in cls else []
+                for r in range(len(rest) + 1):
+                    for S in combinations(rest, r):
+                        assert not _meets_condition(forced + list(S), p, P, target), (A, target, p, n, S)
+            alive -= set(dead)
+            steps += 1
+        assert alive == set(red.core)
+        assert red.skipped == ()
+    assert steps > 0
+
+
+def test_reduce_to_core_skips_a_prime_past_the_byte_bound(monkeypatch):
+    # with no DP allowed only the cheap test for a target prime power the set lacks runs
+    monkeypatch.setattr(solver, "_REDUCE_BYTE_BOUND", 0)
+    red = reduce_to_core([2, 3, 6, 10], 1)
+    assert red.core == IntSet([2, 3, 6, 10]) and red.steps == ()
+    assert red.skipped == (2, 3, 5)
+    assert find_subset([2, 3, 6, 10], 1).witness == IntSet([2, 3, 6])
+    red = reduce_to_core([2, 3, 6, 10], Fraction(1, 7))
+    assert red.steps == ((7, (2, 3, 6, 10)),) and not red.core
+
+
+def test_auto_on_the_core_keeps_the_witness():
+    # every solution lies in the core, so auto finds the same lex-smallest witness
+    for A, target, _ in _equivalence_instances(53, 200, 12):
+        auto = find_subset(A, target)
+        dfs = find_subset(A, target, SolverConfig(strategy=Strategy.DFS_BNB))
+        assert (auto.status, auto.witness) == (dfs.status, dfs.witness), (A, target)
+        if auto.status == SolverStatus.EXHAUSTED_NONE and not reduce_to_core(A, target).core:
+            assert auto.nodes_explored == 0
