@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from .filters import has_divisor_pair, mertens_q_sum, omega_in_range, passes_smo
 from .solver import SolverConfig, SolverStatus, Strategy, count_integral, find_subset, lambda_exact
 from .fourier import DEFAULT_LCM_BOUND, arc_classify
 from .pruning import prune_to_window
-from .pomerance import pomerance_set, verify_report
+from .pomerance import _members, pomerance_set, verify_report, verify_solution_free
 
 EXIT_FOUND = 0
 EXIT_NONE = 1
@@ -180,13 +181,20 @@ def _largest_verified_n(N_max: int, C: float, t, budget: int) -> int:
     """Largest N <= N_max whose qualifying set verifies solution-free.
 
     Sets only grow with N and a solution persists in every superset, so
-    the predicate is monotone and binary search applies.
+    the predicate is monotone: N_max is tested first, then a binary search
+    runs below it.  The set at N is a prefix of the set at N_max.
     """
-    lo, hi, best = 2, N_max, 0
+    members = _members(N_max, C, t).elements
+
+    def free(N: int) -> bool:
+        return verify_solution_free(members[: bisect_right(members, N)], budget)
+
+    if free(N_max):
+        return N_max
+    lo, hi, best = 2, N_max - 1, 0
     while lo <= hi:
         mid = (lo + hi) // 2
-        rep = verify_report(pomerance_set(mid, C, t), budget)
-        if rep.verified_free:
+        if free(mid):
             best = mid
             lo = mid + 1
         else:
@@ -230,7 +238,7 @@ def _experiment_lambda(args):
         raise DomainError(f"--max must be at least 2, got {args.max}")
     rows = [["N", "value_exact", "value_float", "witness"]]
     for N in range(2, args.max + 1):
-        value, witness = lambda_exact(N, max_n=args.max, node_budget=args.budget)
+        value, witness = lambda_exact(N, node_budget=args.budget)
         rows.append([N, format_rational(value), float(value), " ".join(map(str, witness))])
     return f"lambda_{args.max}.csv", _csv_text(rows), {"max": args.max}, str(args.max)
 

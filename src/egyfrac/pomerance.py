@@ -42,8 +42,12 @@ class PomeranceReport:
         }
 
 
-def pomerance_set(N: int, C: float, t: FactorTable) -> PomeranceReport:
-    """Collect {2 <= n <= N : largest prime p of n has p*ln(p) > C*n}."""
+def _members(N: int, C: float, t: FactorTable) -> IntSet:
+    """{2 <= n <= N : largest prime p of n has p*ln(p) > C*n}.
+
+    Whether n qualifies does not depend on N, so the set for a smaller N is
+    a prefix of this one.
+    """
     if N < 2:
         raise RangeError(f"N must be >= 2, got {N}")
     if N > t.bound:
@@ -64,7 +68,13 @@ def pomerance_set(N: int, C: float, t: FactorTable) -> PomeranceReport:
     primes = n[largest == n]
     ln = np.zeros(N + 1)
     ln[primes] = [math.log(p) for p in primes.tolist()]
-    members = IntSet(n[largest * ln[largest] > C * n.astype(np.float64)].tolist())
+    return IntSet(n[largest * ln[largest] > C * n.astype(np.float64)].tolist())
+
+
+def pomerance_set(N: int, C: float, t: FactorTable) -> PomeranceReport:
+    """Collect {2 <= n <= N : largest prime p of n has p*ln(p) > C*n} and
+    its exact reciprocal sum."""
+    members = _members(N, C, t)
     return PomeranceReport(
         N=N,
         C=C,

@@ -25,9 +25,18 @@ of their class carries to P*t, and repeats until no prime removes
 anything.  An empty core proves that no subset reaches t without any
 search.
 
+``lambda_exact`` reduces [2, N] with target 1.  The elements U it removes
+lie in no solution, so a solution-free set stays solution-free when U is
+added, and lambda(N) = R(U) + lambda(core).  Its branch and bound runs on
+the core alone, in units of 1/L with L = lcm(core), and keeps the subset
+sums of the chosen elements as one (L+1)-bit int.  Bit L - L/n of that
+int is set iff some chosen elements sum to 1 - 1/n, that is, iff adding n
+would complete a solution; n is included only while the bit is clear.
+
 The size limits of the residue DPs, of the counters' enumeration and of
-the reduction's DPs are the module constants _DP_LCM_BOUND,
-_DP_SUM_BOUND, _EXHAUSTIVE_BOUND and _REDUCE_BYTE_BOUND.
+the bitsets of the reduction and of ``lambda_exact`` are the module
+constants _DP_LCM_BOUND, _DP_SUM_BOUND, _EXHAUSTIVE_BOUND and
+_BITSET_BYTE_BOUND.
 """
 from __future__ import annotations
 
@@ -50,8 +59,9 @@ _EXHAUSTIVE_BOUND = 24
 # the residue DPs run only up to this lcm and this scaled target
 _DP_LCM_BOUND = 10_000_000
 _DP_SUM_BOUND = 50_000_000
-# reduce_to_core leaves a prime untested when its DP would hold more bytes than this
-_REDUCE_BYTE_BOUND = 1 << 25
+# reduce_to_core leaves a prime untested, and lambda_exact refuses N, when its
+# reachability bitsets would hold more bytes than this
+_BITSET_BYTE_BOUND = 1 << 25
 
 
 class Strategy(str, Enum):
@@ -341,7 +351,7 @@ class CoreReduction:
     removals) meets p's congruence and contains the removed element; an
     element prime to p is removed only when no subset of the class meets it
     at all.  ``skipped`` lists the primes whose last test was skipped
-    because its DP passed ``_REDUCE_BYTE_BOUND``: the core is a fixpoint for
+    because its DP passed ``_BITSET_BYTE_BOUND``: the core is a fixpoint for
     every other prime.
     """
 
@@ -416,7 +426,7 @@ def _reduce(elems: list[int], target: Fraction, factors: dict[int, Factorization
             continue
         else:
             P = p**v
-            if (len(cls) + 1) * P > 8 * _REDUCE_BYTE_BOUND:
+            if (len(cls) + 1) * P > 8 * _BITSET_BYTE_BOUND:
                 skipped.add(p)
                 continue
             skipped.discard(p)
@@ -453,7 +463,7 @@ def reduce_to_core(A: SetLike, target) -> CoreReduction:
     removed element's other primes, which are then tested again, until no
     test removes anything.  When no subset of some class meets its
     congruence at all, A has no solution and every element is removed.  A
-    prime whose DP would hold more than ``_REDUCE_BYTE_BOUND`` bytes, about
+    prime whose DP would hold more than ``_BITSET_BYTE_BOUND`` bytes, about
     (|class| + 1) * P / 8, is skipped, which leaves the result sound.
     """
     A = as_intset(A)
@@ -605,46 +615,56 @@ def combine_solutions(parts: Sequence[tuple[SetLike, int]]) -> Optional[IntSet]:
     return None
 
 
-def lambda_exact(N: int, *, max_n: int = 30, node_budget: int = 10_000_000) -> tuple[Fraction, IntSet]:
+def lambda_exact(N: int, *, node_budget: int = 10_000_000) -> tuple[Fraction, IntSet]:
     """Maximum reciprocal sum of a subset of {1..N} containing no sub-subset
     with reciprocal sum exactly 1, plus one maximizing subset.
 
-    The singleton {1} already sums to 1, so 1 never participates.  Search
-    is branch and bound over 2..N in ascending order: the include branch
-    is taken first, the admissible bound is the current sum plus the
-    remaining harmonic tail, and each inclusion is vetted by an exact
-    subset search over the already chosen prefix.
+    The singleton {1} already sums to 1, so 1 never participates.  Only
+    the core of [2, N] is searched (see the module docstring): branch and
+    bound in ascending order, include first, with the current sum plus the
+    remaining suffix sum as the bound and the reachability bit vetting each
+    inclusion.  The witness, the removed elements and the first maximizer
+    in that order, is the one a search over all of [2, N] finds first.
+    Raises ResourceLimitError before the search when its |core| + 1 live
+    bitsets would pass ``_BITSET_BYTE_BOUND`` bytes, and once it visits
+    more than ``node_budget`` nodes.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
-    if N > max_n:
-        raise ResourceLimitError(f"N={N} exceeds the exhaustive bound {max_n}")
-    universe = list(range(2, N + 1))
-    m = len(universe)
-    tail = [Fraction(0)] * (m + 1)
+    if node_budget <= 0:
+        raise DomainError("node_budget must be positive")
+    red = reduce_to_core(range(2, N + 1), 1)
+    removed, core = red.removed, red.core.elements
+    m = len(core)
+    L = math.lcm(*core)
+    if (m + 1) * (L + 1) > 8 * _BITSET_BYTE_BOUND:
+        raise ResourceLimitError(
+            f"N={N}: {m + 1} bitsets of lcm(core) + 1 = {L + 1} bits pass {_BITSET_BYTE_BOUND} bytes"
+        )
+    weights = [L // n for n in core]
+    tail = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
-        tail[i] = tail[i + 1] + Fraction(1, universe[i])
-    cfg = SolverConfig(strategy=Strategy.DFS_BNB, node_budget=node_budget)
-    best = Fraction(0)
-    best_set: tuple[int, ...] = ()
-
-    def rec(i: int, cur: Fraction, chosen: list[int]) -> None:
-        nonlocal best, best_set
+        tail[i] = tail[i + 1] + weights[i]
+    cap = (1 << (L + 1)) - 1
+    chosen = [False] * m
+    best, best_set = 0, ()
+    # a node is (depth, sum of the chosen elements, their subset sums, whether core[depth - 1] is chosen)
+    stack = [(0, 0, 1, False)]
+    nodes = 0
+    while stack:
+        i, cur, reach, included = stack.pop()
+        nodes += 1
+        if nodes > node_budget:
+            raise ResourceLimitError(f"N={N}: the search passed its node budget {node_budget}")
+        if i:
+            chosen[i - 1] = included
         if cur + tail[i] <= best:
-            return
+            continue
         if i == m:
-            best = cur
-            best_set = tuple(chosen)
-            return
-        n = universe[i]
-        check = find_subset(chosen, 1 - Fraction(1, n), cfg)
-        if check.status == SolverStatus.BUDGET_EXCEEDED:
-            raise ResourceLimitError("inner subset search exceeded its node budget")
-        if check.status == SolverStatus.EXHAUSTED_NONE:
-            chosen.append(n)
-            rec(i + 1, cur + Fraction(1, n), chosen)
-            chosen.pop()
-        rec(i + 1, cur, chosen)
-
-    rec(0, Fraction(0), [])
-    return best, IntSet(best_set)
+            best, best_set = cur, tuple(n for n, c in zip(core, chosen) if c)
+            continue
+        w = weights[i]
+        stack.append((i + 1, cur, reach, False))
+        if not reach >> (L - w) & 1:
+            stack.append((i + 1, cur + w, (reach | reach << w) & cap, True))
+    return recip_sum(removed) + Fraction(best, L), removed.union(best_set)

@@ -225,3 +225,37 @@ def reference_count_integral(A, k: int) -> int:
     elems = sorted(A)
     counts = Counter((k * s) % 1 for s, _ in reference_enumerate_sums(elems[0::2]))
     return sum(counts[(-k * s) % 1] for s, _ in reference_enumerate_sums(elems[1::2]))
+
+
+# ---------------------------------------------------------------------------
+# reference lambda search: the branch and bound lambda_exact ran before it
+# searched the core with a reachability bitset, vetting with the reference DFS
+
+
+def reference_lambda(N: int) -> tuple[Fraction, tuple[int, ...]]:
+    """(lambda(N), witness) by recursive branch and bound over all of [2, N]
+    in ascending order, include first, vetting each inclusion of n with a
+    complete subset search for 1 - 1/n over the elements already chosen."""
+    universe = list(range(2, N + 1))
+    m = len(universe)
+    tail = [Fraction(0)] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        tail[i] = tail[i + 1] + Fraction(1, universe[i])
+    best, best_set = Fraction(0), ()
+
+    def rec(i, cur, chosen):
+        nonlocal best, best_set
+        if cur + tail[i] <= best:
+            return
+        if i == m:
+            best, best_set = cur, tuple(chosen)
+            return
+        n = universe[i]
+        status, _, _ = reference_find_dfs(chosen, 1 - Fraction(1, n), 10**7, deterministic=False)
+        assert status != "budget_exceeded"
+        if status == "exhausted_none":
+            rec(i + 1, cur + Fraction(1, n), chosen + [n])
+        rec(i + 1, cur, chosen)
+
+    rec(0, Fraction(0), [])
+    return best, best_set

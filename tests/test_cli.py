@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import re
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from egyfrac import build_table, format_rational, has_divisor_pair, mertens_q_sum, parse_rational
 import egyfrac.cli
 import egyfrac.fourier
+import egyfrac.pomerance
 from egyfrac.cli import main
 from helpers import divisors_above_one, trial_factorize
 
@@ -156,6 +158,18 @@ def test_experiment_pomerance_sweep(tmp_path, capsys):
     # C=0.5 admits 2, 3 and 6, whose reciprocals already sum to 1
     assert by_c["0.5"] == 5
     assert by_c["1.0"] == 40
+    capsys.readouterr()
+
+
+def test_experiment_pomerance_sweep_verifies_n_max_once(tmp_path, monkeypatch, capsys):
+    # the set at N = 40 verifies, so its row needs one verification and one reciprocal sum
+    calls = Counter()
+    for name in ("find_subset", "recip_sum"):
+        real = getattr(egyfrac.pomerance, name)
+        monkeypatch.setattr(egyfrac.pomerance, name,
+                            lambda *a, _real=real, _name=name: calls.update([_name]) or _real(*a))
+    assert main(["experiment", "pomerance", "--N", "40", "--sweep-C", "1", "--out-dir", str(tmp_path)]) == 0
+    assert calls == {"find_subset": 1, "recip_sum": 1}
     capsys.readouterr()
 
 
@@ -376,13 +390,22 @@ PINNED_ARTIFACTS = [
     (["lambda", "--max", "6"], "lambda_6.csv",
      "9b30d6ad07f755183c49540381fdee2942acdf987e6a1f65edd15088741d0add",
      "80abd3aba5eecdf4faf82d0ff9a42bdeb107e71b6466bfc8b5d357fd074d0ca9"),
+    (["lambda", "--max", "22"], "lambda_22.csv",
+     "96136a7132f7780e4ebf33776e2078d46c68dcbf180a7b58fe8a2e0553979766",
+     "005ad48aaa459710402f4cb2176d722f2f8c0e6f118564086ccf7b1d1a5d20ae"),
     (["prune-demo", "--lo", "4", "--hi", "60", "--y", "1", "--z", "12"], "prune_demo_4_60.json",
      "c72c6f0f0f631b49f40ee0e57af5d685692d138671090676f1cdb5139f99a2e9",
      "d6cbb2c0c42a23987aa2f12d99dc83f29e315112c20082625a9c582390dfd99d"),
 ]
 
 
-@pytest.mark.parametrize("params,name,artifact_sha,manifest_sha", PINNED_ARTIFACTS, ids=[p[0][0] for p in PINNED_ARTIFACTS])
+def _pin_ids(pins) -> list[str]:
+    # the experiment's name, with its first value appended when an earlier pin has that name
+    ids = [params[0] for params, *_ in pins]
+    return [name if name not in ids[:i] else f"{name}-{pins[i][0][2]}" for i, name in enumerate(ids)]
+
+
+@pytest.mark.parametrize("params,name,artifact_sha,manifest_sha", PINNED_ARTIFACTS, ids=_pin_ids(PINNED_ARTIFACTS))
 def test_experiment_artifacts_pinned(params, name, artifact_sha, manifest_sha, tmp_path, capsys):
     assert main(["experiment", *params, "--out-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().out == f"wrote {tmp_path / name}\n"

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -34,6 +35,7 @@ from helpers import (
     reference_dfs,
     reference_find_dfs,
     reference_find_meet,
+    reference_lambda,
 )
 
 ALL_STRATEGIES = [Strategy.DFS_BNB, Strategy.MEET_MIDDLE, Strategy.RESIDUE_DP]
@@ -198,8 +200,43 @@ def test_lambda_monotone():
 
 
 def test_lambda_resource_bound():
-    with pytest.raises(ResourceLimitError):
-        lambda_exact(31)
+    # at N = 75 the 46 bitsets of lcm(core) + 1 bits would hold 62 MB; one alone
+    # is 1.35 MB, so the peak shows that none was allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="N=75"):
+            lambda_exact(75)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_lambda_node_budget():
+    assert lambda_exact(8, node_budget=10**3) == lambda_exact(8)
+    with pytest.raises(ResourceLimitError, match="node budget"):
+        lambda_exact(8, node_budget=1)
+    with pytest.raises(DomainError):
+        lambda_exact(8, node_budget=0)
+
+
+def test_lambda_matches_reference_search():
+    # the branch and bound over all of [2, N] with a find_subset per node
+    for N in range(2, 41):
+        value, witness = lambda_exact(N)
+        assert (value, witness.elements) == reference_lambda(N), N
+
+
+def test_lambda_pinned_past_the_old_cap():
+    # value and witness of the search over all of [2, N] (reference_lambda), too slow past N = 50 for the suite
+    assert lambda_exact(55)[0] == Fraction(490135138231227457229497, 164249358725037825439200)
+    value, witness = lambda_exact(60)
+    assert value == Fraction(29419316252706653702041523, 9690712164777231700912800)
+    assert witness == IntSet(
+        [2, 3, 4, 5, 7, 8, 9, 10, 11, 12, 13, 14, 16, 17, 19, 21, 22, 23, 25, 26, 27, 29, 31, 32, 34, 35,
+         36, 37, 38, 39, 41, 43, 44, 46, 47, 49, 50, 51, 53, 55, 57, 58, 59]
+    )
+    assert recip_sum(witness) == value
 
 
 def test_strategy_agreement_quick():
@@ -380,7 +417,7 @@ def test_reduce_to_core_certificate_replays():
 
 def test_reduce_to_core_skips_a_prime_past_the_byte_bound(monkeypatch):
     # with no DP allowed only the cheap test for a target prime power the set lacks runs
-    monkeypatch.setattr(solver, "_REDUCE_BYTE_BOUND", 0)
+    monkeypatch.setattr(solver, "_BITSET_BYTE_BOUND", 0)
     red = reduce_to_core([2, 3, 6, 10], 1)
     assert red.core == IntSet([2, 3, 6, 10]) and red.steps == ()
     assert red.skipped == (2, 3, 5)
