@@ -350,6 +350,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    # a bound or thread count below 1 would refuse every set or run no worker
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def _finite_float_list(text: str) -> str:
     # checked entry by entry, but kept as given: the manifest records the text
     for entry in text.split(","):
@@ -374,9 +382,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("set_file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--arc-width", type=float, default=None, help="major-arc radius K (default min(A)/2)")
-    p.add_argument("--lcm-bound", type=int, default=DEFAULT_LCM_BOUND)
+    p.add_argument("--lcm-bound", type=_positive_int, default=DEFAULT_LCM_BOUND)
     p.add_argument("--out")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(func=cmd_fourier)
 
     p = sub.add_parser("decompose", help="dump the prime-power class structure of a set file")
@@ -387,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a named batch experiment")
     p.add_argument("name", choices=_EXPERIMENTS)
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--X", type=int, default=1000)
     p.add_argument("--N", type=int, default=1000)
     p.add_argument("--y", type=_finite_float, default=3.0)
@@ -403,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smooth-bound", type=_finite_float, default=None)
     p.add_argument("--omega-lo", type=_finite_float, default=None)
     p.add_argument("--omega-hi", type=_finite_float, default=None)
-    p.add_argument("--lcm-bound", type=int, default=DEFAULT_LCM_BOUND)
+    p.add_argument("--lcm-bound", type=_positive_int, default=DEFAULT_LCM_BOUND)
     p.set_defaults(func=cmd_experiment)
 
     return parser

@@ -33,10 +33,9 @@ sums of the chosen elements as one (L+1)-bit int.  Bit L - L/n of that
 int is set iff some chosen elements sum to 1 - 1/n, that is, iff adding n
 would complete a solution; n is included only while the bit is clear.
 
-The size limits of the residue DPs, of the counters' enumeration and of
-the bitsets of the reduction and of ``lambda_exact`` are the module
-constants _DP_LCM_BOUND, _DP_SUM_BOUND, _EXHAUSTIVE_BOUND and
-_BITSET_BYTE_BOUND.
+Every DP table, a run of sets from the one reachability kernel
+``_subset_sums`` or a counter's array, is checked against ``_BYTE_BUDGET``
+before it is allocated; ``_EXHAUSTIVE_BOUND`` caps the counters' enumeration.
 """
 from __future__ import annotations
 
@@ -46,6 +45,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,12 +56,9 @@ from .sieve import Factorization, factorize_all, prime_factors
 
 # count_subsets and count_integral enumerate subset sums up to this many elements
 _EXHAUSTIVE_BOUND = 24
-# the residue DPs run only up to this lcm and this scaled target
-_DP_LCM_BOUND = 10_000_000
-_DP_SUM_BOUND = 50_000_000
-# reduce_to_core leaves a prime untested, and lambda_exact refuses N, when its
-# reachability bitsets would hold more bytes than this
-_BITSET_BYTE_BOUND = 1 << 25
+# the bytes a DP table may hold: past them the residue DP and the counters raise,
+# auto runs dfs_bnb, reduce_to_core skips a prime and lambda_exact refuses N
+_BYTE_BUDGET = 1 << 25
 
 
 class Strategy(str, Enum):
@@ -282,55 +279,71 @@ def _find_meet(elems: Sequence[int], target: Fraction, cfg: SolverConfig, nodes:
 # scaled-integer reachability (works in units of 1/lcm)
 
 
+def _check_bytes(nbytes: int, what: str) -> None:
+    if nbytes > _BYTE_BUDGET:
+        raise ResourceLimitError(f"{what} would hold {nbytes} bytes, past the budget of {_BYTE_BUDGET}")
+
+
+def _sets_bytes(weights: Sequence[int], width: int, cyclic: bool = False) -> int:
+    """Bytes of the sets of ``_subset_sums``: each holds at most ``width``
+    bits, and a linear one at most the sum of its prefix plus one."""
+    bits = (len(weights) + 1) * width if cyclic else sum(min(width, s + 1) for s in accumulate(weights, initial=0))
+    return -(-bits // 8)
+
+
+def _subset_sums(weights: Sequence[int], width: int, cyclic: bool = False) -> list[int]:
+    """The subset sums of weights[:j], j = 0..len(weights), as ``width``-bit
+    ints: mod ``width`` when ``cyclic`` (a weight rotates), else cut at
+    ``width``, which bounds each shift too.  Raises ResourceLimitError
+    before building any when all would pass the byte budget."""
+    _check_bytes(_sets_bytes(weights, width, cyclic), "the sets of subset sums")
+    mask = (1 << width) - 1
+    x = 1
+    sets = [x]
+    for w in weights:
+        x |= ((x << w) | (x >> (width - w)) if cyclic else x << min(w, width)) & mask
+        sets.append(x)
+    return sets
+
+
 def _scaled(elems: Sequence[int], target: Fraction) -> Optional[tuple[list[int], int]]:
-    """Scale the problem to integers in units of 1/L, L = lcm(elems).
-
-    Returns the weights L/n and the scaled target T, or None when no subset
-    can reach the target: every subset sum has a denominator dividing L,
-    so T must be an integer, and it cannot exceed the sum of all weights.
-    Raises ResourceLimitError when L or T is past its bound.
-    """
+    """The weights L/n and the target T in units of 1/L, L = lcm(elems), or None
+    when no subset reaches T: a subset sum is an integer in these units, and at most the weights' sum."""
     L = math.lcm(*elems)
-    if L > _DP_LCM_BOUND:
-        raise ResourceLimitError(f"lcm {L} exceeds the residue-DP bound {_DP_LCM_BOUND}")
     scaled = target * L
-    if scaled.denominator != 1:
-        return None
-    T = int(scaled)
     weights = [L // n for n in elems]
-    if T > sum(weights):
+    if scaled.denominator != 1 or scaled > sum(weights):
         return None
-    if T > _DP_SUM_BOUND:
-        raise ResourceLimitError(f"scaled target {T} exceeds the residue-DP bound {_DP_SUM_BOUND}")
-    return weights, T
+    return weights, int(scaled)
 
 
-def _count_dtype(k: int):
-    # a count of subsets of k elements is below 2^k, so int64 holds it up to k = 62
-    return np.int64 if k <= 62 else object
+def _count_table(size: int, k: int, what: str) -> np.ndarray:
+    """A count array of ``size`` entries, 1 at entry 0, for the subsets of k
+    elements: int64 up to k = 62, since a count is below 2^k, and past that
+    pointers to ints of at most 32 + 8 * (k // 30) bytes.  Raises ResourceLimitError
+    before allocating when it and the temporary of a DP step would pass the budget."""
+    dtype, entry = (np.int64, 8) if k <= 62 else (object, 8 + 32 + 8 * (k // 30))
+    _check_bytes(2 * size * entry, what)
+    dp = np.zeros(size, dtype=dtype)
+    dp[0] = 1
+    return dp
 
 
-def _find_residue(
-    elems: Sequence[int], scaled: Optional[tuple[list[int], int]], nodes: _Nodes
-) -> SolverResult:
+def _find_residue(elems: Sequence[int], target: Fraction, nodes: _Nodes) -> SolverResult:
+    scaled = _scaled(elems, target)
     if scaled is None:
         return SolverResult(SolverStatus.EXHAUSTED_NONE, None, nodes.count)
     weights, T = scaled
-    cap = (1 << (T + 1)) - 1
-    k = len(elems)
-    reach = [0] * (k + 1)
-    reach[k] = 1
-    for i in range(k - 1, -1, -1):
-        nodes.spend()
-        reach[i] = (reach[i + 1] | (reach[i + 1] << weights[i])) & cap
-    if not (reach[0] >> T) & 1:
+    nodes.spend(len(elems))
+    # suffix[j] holds the subset sums of the last j elements
+    suffix = _subset_sums(weights[::-1], T + 1)
+    if not suffix[-1] >> T & 1:
         return SolverResult(SolverStatus.EXHAUSTED_NONE, None, nodes.count)
     picked = []
     r = T
-    for i in range(k):
-        w = weights[i]
-        if w <= r and (reach[i + 1] >> (r - w)) & 1:
-            picked.append(elems[i])
+    for n, w, rest in zip(elems, weights, reversed(suffix[:-1])):
+        if w <= r and (rest >> (r - w)) & 1:
+            picked.append(n)
             r -= w
     assert r == 0
     return SolverResult(SolverStatus.FOUND, IntSet(picked), nodes.count)
@@ -351,7 +364,7 @@ class CoreReduction:
     removals) meets p's congruence and contains the removed element; an
     element prime to p is removed only when no subset of the class meets it
     at all.  ``skipped`` lists the primes whose last test was skipped
-    because its DP passed ``_BITSET_BYTE_BOUND``: the core is a fixpoint for
+    because its DP would pass the byte budget: the core is a fixpoint for
     every other prime.
     """
 
@@ -370,23 +383,19 @@ def _dead_members(p: int, v: int, r: int, cls: dict[int, int]) -> Optional[list[
     residue r mod P = p^v, or None when no subset reaches r at all.
 
     ``cls`` maps each member n = p^a * m to a; its weight P/n is the residue
-    p^(v-a) * m^(-1) mod P.  A set of residues is a P-bit int, and adding a
-    weight to all of them is a rotation.  ``fwd[i]`` holds the subset sums
-    of the first i members and ``back`` the negated subset sums of the
-    members after member i, so member i lies in a subset that reaches r iff
-    fwd[i] meets back rotated by r - w_i.
+    p^(v-a) * m^(-1) mod P.  The residue sets are cyclic sets of
+    ``_subset_sums``, which raises past the byte budget.  ``fwd[i]`` holds
+    the subset sums of the first i members and ``back`` the negated subset
+    sums of the members after member i, so member i lies in a subset that
+    reaches r iff fwd[i] meets back rotated by r - w_i.
     """
     P = p**v
-    mask = (1 << P) - 1
     members = list(cls)
     weights = [p ** (v - a) * pow(n // p**a, -1, P) % P for n, a in cls.items()]
-    fwd = [1]
-    x = 1
-    for w in weights:
-        x |= ((x << w) | (x >> (P - w))) & mask
-        fwd.append(x)
-    if not x >> r & 1:
+    fwd = _subset_sums(weights, P, cyclic=True)
+    if not fwd[-1] >> r & 1:
         return None
+    mask = (1 << P) - 1
     dead = []
     back = 1
     for i in range(len(members) - 1, -1, -1):
@@ -426,13 +435,14 @@ def _reduce(elems: list[int], target: Fraction, factors: dict[int, Factorization
             continue
         else:
             P = p**v
-            if (len(cls) + 1) * P > 8 * _BITSET_BYTE_BOUND:
+            # P*t is p-integral; it is a multiple of P unless p divides t's denominator
+            r = num * (P // p**e) * pow(den // p**e, -1, P) % P if e else 0
+            try:
+                dead = _dead_members(p, v, r, cls)
+            except ResourceLimitError:
                 skipped.add(p)
                 continue
             skipped.discard(p)
-            # P*t is p-integral; it is a multiple of P unless p divides t's denominator
-            r = num * (P // p**e) * pow(den // p**e, -1, P) % P if e else 0
-            dead = _dead_members(p, v, r, cls)
         if dead is None:
             dead = list(alive)
         if not dead:
@@ -463,8 +473,8 @@ def reduce_to_core(A: SetLike, target) -> CoreReduction:
     removed element's other primes, which are then tested again, until no
     test removes anything.  When no subset of some class meets its
     congruence at all, A has no solution and every element is removed.  A
-    prime whose DP would hold more than ``_BITSET_BYTE_BOUND`` bytes, about
-    (|class| + 1) * P / 8, is skipped, which leaves the result sound.
+    prime whose (|class| + 1) P-bit sets would pass ``_BYTE_BUDGET`` bytes
+    is skipped, which leaves the result sound.
     """
     A = as_intset(A)
     target = Fraction(target)
@@ -478,14 +488,14 @@ def reduce_to_core(A: SetLike, target) -> CoreReduction:
 # public entry points
 
 
-def _pick_strategy(elems: Sequence[int], target: Fraction) -> tuple[Strategy, Optional[tuple[list[int], int]]]:
-    """The strategy ``auto`` runs, with the residue DP's ``_scaled`` result when it picks that."""
+def _pick_strategy(elems: Sequence[int], target: Fraction) -> Strategy:
+    """The strategy ``auto`` runs: the residue DP from 24 elements on, unless its sets would pass the byte budget."""
     if len(elems) >= 24:
-        try:
-            return Strategy.RESIDUE_DP, _scaled(elems, target)
-        except ResourceLimitError:
-            pass
-    return Strategy.DFS_BNB, None
+        scaled = _scaled(elems, target)
+        # _find_residue runs the weights last to first
+        if scaled is None or _sets_bytes(scaled[0][::-1], scaled[1] + 1) <= _BYTE_BUDGET:
+            return Strategy.RESIDUE_DP
+    return Strategy.DFS_BNB
 
 
 def find_subset(A: SetLike, target, cfg: SolverConfig = SolverConfig()) -> SolverResult:
@@ -503,16 +513,14 @@ def find_subset(A: SetLike, target, cfg: SolverConfig = SolverConfig()) -> Solve
     if target < 0:
         raise DomainError("target must be >= 0")
     elems = list(A.elements)
-    strategy, scaled, factors = cfg.strategy, None, None
+    strategy, factors = cfg.strategy, None
     if strategy == Strategy.AUTO:
         factorizations = factorize_all(elems)
         elems = list(_reduce(elems, target, factorizations).core.elements)
         if not elems and target:
             return SolverResult(SolverStatus.EXHAUSTED_NONE, None, 0)
         factors = {n: [p for p, _ in factorizations[n]] for n in elems}
-        strategy, scaled = _pick_strategy(elems, target)
-    elif strategy == Strategy.RESIDUE_DP:
-        scaled = _scaled(elems, target)
+        strategy = _pick_strategy(elems, target)
     nodes = _Nodes(cfg.node_budget)
     try:
         if strategy == Strategy.DFS_BNB:
@@ -522,7 +530,7 @@ def find_subset(A: SetLike, target, cfg: SolverConfig = SolverConfig()) -> Solve
         if strategy == Strategy.MEET_MIDDLE:
             return _find_meet(elems, target, cfg, nodes)
         if strategy == Strategy.RESIDUE_DP:
-            return _find_residue(elems, scaled, nodes)
+            return _find_residue(elems, target, nodes)
     except _BudgetExhausted:
         return SolverResult(SolverStatus.BUDGET_EXCEEDED, None, nodes.count)
     raise DomainError(f"unknown strategy {cfg.strategy!r}")
@@ -544,11 +552,9 @@ def count_subsets(A: SetLike, target) -> int:
     if scaled is None:
         return 0
     weights, T = scaled
-    dp = np.zeros(T + 1, dtype=_count_dtype(len(weights)))
-    dp[0] = 1
+    dp = _count_table(T + 1, len(weights), "count_subsets' table of sums")
     for w in weights:
-        if w <= T:
-            dp[w:] = dp[w:] + dp[:-w]
+        dp[w:] = dp[w:] + dp[:-w]
     return int(dp[T])
 
 
@@ -557,28 +563,26 @@ def count_integral(A: SetLike, k: int) -> int:
 
     Computed by dynamic programming over residues of k*(L/n) modulo
     L = lcm(A); the residue-0 count is exact.  Falls back to meet-in-the-
-    middle over subset sums in units of 1/L, taken modulo L, when the lcm
-    is out of range but the set is small.
+    middle over subset sums in units of 1/L, taken modulo L, when the table
+    would pass the byte budget but the set is small.
     """
     A = as_intset(A)
     if k < 1:
         raise DomainError("k must be a positive integer")
     elems = list(A.elements)
     L = math.lcm(*elems)
-    if L <= _DP_LCM_BOUND:
-        dp = np.zeros(L, dtype=_count_dtype(len(elems)))
-        dp[0] = 1
-        for n in elems:
-            dp = dp + np.roll(dp, (k * (L // n)) % L)
-        return int(dp[0])
-    if len(elems) <= _EXHAUSTIVE_BOUND:
+    try:
+        dp = _count_table(L, len(elems), "count_integral's table of residues")
+    except ResourceLimitError:
+        if len(elems) > _EXHAUSTIVE_BOUND:
+            raise
         # k * (S_left + S_right) / L is an integer iff k * S_left = -k * S_right (mod L)
         left, right = _alternating_split(elems)
         counts = Counter((k * s) % L for s in _enumerate_sums(left, L, None))
         return sum(counts[(-k * s) % L] for s in _enumerate_sums(right, L, None))
-    raise ResourceLimitError(
-        f"|A|={len(elems)} exceeds the exhaustive bound and lcm {L} exceeds {_DP_LCM_BOUND}"
-    )
+    for n in elems:
+        dp += np.roll(dp, (k * (L // n)) % L)
+    return int(dp[0])
 
 
 def combine_solutions(parts: Sequence[tuple[SetLike, int]]) -> Optional[IntSet]:
@@ -625,9 +629,9 @@ def lambda_exact(N: int, *, node_budget: int = 10_000_000) -> tuple[Fraction, In
     remaining suffix sum as the bound and the reachability bit vetting each
     inclusion.  The witness, the removed elements and the first maximizer
     in that order, is the one a search over all of [2, N] finds first.
-    Raises ResourceLimitError before the search when its |core| + 1 live
-    bitsets would pass ``_BITSET_BYTE_BOUND`` bytes, and once it visits
-    more than ``node_budget`` nodes.
+    Raises ResourceLimitError before the search when its bitsets, at depth
+    j the j-th set of ``_subset_sums`` over the core, would pass the byte
+    budget, and once it visits more than ``node_budget`` nodes.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -637,14 +641,9 @@ def lambda_exact(N: int, *, node_budget: int = 10_000_000) -> tuple[Fraction, In
     removed, core = red.removed, red.core.elements
     m = len(core)
     L = math.lcm(*core)
-    if (m + 1) * (L + 1) > 8 * _BITSET_BYTE_BOUND:
-        raise ResourceLimitError(
-            f"N={N}: {m + 1} bitsets of lcm(core) + 1 = {L + 1} bits pass {_BITSET_BYTE_BOUND} bytes"
-        )
     weights = [L // n for n in core]
-    tail = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        tail[i] = tail[i + 1] + weights[i]
+    _check_bytes(_sets_bytes(weights, L + 1), f"N={N}: {m + 1} bitsets of up to lcm(core) + 1 = {L + 1} bits")
+    tail = list(accumulate(reversed(weights), initial=0))[::-1]
     cap = (1 << (L + 1)) - 1
     chosen = [False] * m
     best, best_set = 0, ()

@@ -87,6 +87,16 @@ def test_fourier_refused_count_exit(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("egyfrac: error:")
 
 
+def test_solve_residue_dp_past_the_byte_budget_exits_3(tmp_path, capsys):
+    # the residue DP's sets on these 431 divisors would pass its byte budget; auto searches by dfs_bnb
+    f = tmp_path / "divisors.txt"
+    f.write_text("\n".join(map(str, divisors_above_one(7207200))) + "\n")
+    assert main(["solve", str(f), "--target", "1", "--strategy", "residue_dp"]) == 3
+    assert capsys.readouterr().err.startswith("egyfrac: error:")
+    assert main(["solve", str(f), "--target", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["witness"] == [2, 3, 6]
+
+
 def test_decompose(set_file, capsys):
     rc = main(["decompose", str(set_file)])
     assert rc == 0
@@ -318,12 +328,17 @@ def test_solve_reproducible_json(set_file, tmp_path):
         (["experiment", "prune-demo", "--smooth-bound", "nan", "--out-dir", "{tmp}"], "--smooth-bound"),
         (["experiment", "pomerance", "--N", "30", "--C", "nan", "--out-dir", "{tmp}"], "--C"),
         (["experiment", "pomerance", "--N", "30", "--sweep-C", "1,nan", "--out-dir", "{tmp}"], "--sweep-C"),
+        (["fourier", "{set}", "--k", "1", "--lcm-bound", "0"], "--lcm-bound"),
+        (["experiment", "prune-demo", "--lcm-bound", "0", "--out-dir", "{tmp}"], "--lcm-bound"),
+        (["fourier", "{set}", "--k", "1", "--threads", "0"], "--threads"),
+        (["experiment", "prune-demo", "--threads", "-2", "--out-dir", "{tmp}"], "--threads"),
     ],
     ids=["missing-target", "bad-strategy", "bad-threads", "zero-budget", "out-in-missing-dir", "out-dir-is-file",
          "decompose-table-bound", "prune-demo-y-zero", "prune-demo-y-negative", "sieve-z-inf",
          "pomerance-N-zero", "pomerance-step-zero", "pomerance-step-negative", "lambda-max-one",
          "prune-demo-omega-lo-nan", "prune-demo-omega-hi-nan", "prune-demo-smooth-bound-nan", "pomerance-C-nan",
-         "pomerance-sweep-C-nan"],
+         "pomerance-sweep-C-nan", "fourier-lcm-bound-zero", "prune-demo-lcm-bound-zero", "fourier-threads-zero",
+         "prune-demo-threads-negative"],
 )
 def test_usage_errors_exit_64(argv, named, set_file, tmp_path, capsys):
     # argparse must not exit 2, the budget code, and none of these may end in a traceback;

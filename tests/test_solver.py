@@ -111,6 +111,47 @@ def test_count_subsets_resource_error():
         count_subsets(big, 1)
 
 
+def _traced(call):
+    """call() under tracemalloc: its result, or the ResourceLimitError it raised, and the peak in bytes."""
+    tracemalloc.start()
+    try:
+        try:
+            out = call()
+        except ResourceLimitError as exc:
+            out = exc
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "count,A,arg",
+    [
+        (count_subsets, divisors_above_one(720720)[:60], Fraction(1)),
+        (count_subsets, divisors_above_one(7560), Fraction(1, 2)),
+        (count_integral, divisors_above_one(7560), 5),
+    ],
+    ids=["subsets-int64", "subsets-object", "integral-object"],
+)
+def test_count_table_estimate_covers_its_peak(monkeypatch, count, A, arg):
+    # 60 elements keep int64 counts and 63 need Python ints; a budget one byte
+    # below the measured peak must refuse the table, before allocating it
+    value, peak = _traced(lambda: count(A, arg))
+    assert not isinstance(value, ResourceLimitError)
+    monkeypatch.setattr(solver, "_BYTE_BUDGET", peak - 1)
+    refused, refused_peak = _traced(lambda: count(A, arg))
+    assert isinstance(refused, ResourceLimitError), peak
+    assert refused_peak < peak // 10
+
+
+def test_count_integral_refuses_its_table_before_allocating():
+    # 70 elements need Python ints, and two arrays of 720720 of them would pass
+    # the byte budget; the call used to build them, in 53 s and 66 MiB
+    out, peak = _traced(lambda: count_integral(divisors_above_one(720720)[:70], 1))
+    assert isinstance(out, ResourceLimitError)
+    assert peak < 1 << 20
+
+
 def test_count_integral_examples():
     assert count_integral([2, 3, 6], 1) == 2
     assert count_integral([2], 2) == 2
@@ -132,7 +173,7 @@ def test_count_integral_fractional_route_matches_dp(monkeypatch):
         k = rng.randint(1, 3)
         via_dp = count_integral(A, k)
         with monkeypatch.context() as m:
-            m.setattr(solver, "_DP_LCM_BOUND", 1)
+            m.setattr(solver, "_BYTE_BUDGET", 0)
             via_parts = count_integral(A, k)
         assert via_dp == via_parts
 
@@ -237,6 +278,29 @@ def test_lambda_pinned_past_the_old_cap():
          36, 37, 38, 39, 41, 43, 44, 46, 47, 49, 50, 51, 53, 55, 57, 58, 59]
     )
     assert recip_sum(witness) == value
+
+
+def test_residue_dp_refuses_sets_past_the_byte_budget():
+    # the 431 divisors of 7207200 above 1 at target 1: the suffix sets of the
+    # residue DP would hold 55.6 MiB, and the DP used to build them (62 MiB peak)
+    A = divisors_above_one(7207200)
+    out, peak = _traced(lambda: find_subset(A, 1, SolverConfig(strategy=Strategy.RESIDUE_DP)))
+    assert isinstance(out, ResourceLimitError)
+    assert peak < 1 << 20
+    # auto sees the same estimate and searches by dfs_bnb instead
+    res, peak = _traced(lambda: find_subset(A, 1))
+    assert (res.status, res.witness) == (SolverStatus.FOUND, IntSet([2, 3, 6]))
+    assert peak < 1 << 20
+
+
+def test_residue_dp_counts_a_linear_set_by_its_prefix_sum():
+    # a set holds at most min(T + 1, prefix sum + 1) bits: 11.5 MiB here, where
+    # 288 sets of T + 1 bits would be 153 MiB, past the byte budget
+    A = divisors_above_one(1441440)
+    target = recip_sum(A) - Fraction(1, 2)
+    res = find_subset(A, target, SolverConfig(strategy=Strategy.RESIDUE_DP))
+    assert res.status == SolverStatus.FOUND
+    assert recip_sum(res.witness) == target
 
 
 def test_strategy_agreement_quick():
@@ -344,7 +408,7 @@ def test_counters_match_fraction_reference(monkeypatch):
         k = rng.randint(1, 4)
         # an lcm bound of 1 forces the enumeration branch of count_integral
         with monkeypatch.context() as m:
-            m.setattr(solver, "_DP_LCM_BOUND", 1)
+            m.setattr(solver, "_BYTE_BUDGET", 0)
             assert count_integral(A, k) == reference_count_integral(A, k), (A, k)
 
 
@@ -417,7 +481,7 @@ def test_reduce_to_core_certificate_replays():
 
 def test_reduce_to_core_skips_a_prime_past_the_byte_bound(monkeypatch):
     # with no DP allowed only the cheap test for a target prime power the set lacks runs
-    monkeypatch.setattr(solver, "_BITSET_BYTE_BOUND", 0)
+    monkeypatch.setattr(solver, "_BYTE_BUDGET", 0)
     red = reduce_to_core([2, 3, 6, 10], 1)
     assert red.core == IntSet([2, 3, 6, 10]) and red.steps == ()
     assert red.skipped == (2, 3, 5)
