@@ -342,8 +342,9 @@ def cmd_experiment(args) -> int:
 
 def _finite_float(text: str) -> float:
     # --y and --z reach ceil, floor and log, which infinities and NaN break;
-    # C and the smoothness and omega bounds are compared, and every comparison
-    # with NaN is false, so a NaN would silently empty the set or the pool
+    # C, the arc width and the smoothness and omega bounds are compared, and
+    # every comparison with NaN is false, so a NaN would silently empty the
+    # set or the pool; the arc width is also written to JSON, which has no inf
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
@@ -381,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fourier", help="orthogonality count and arc diagnostics for a set file")
     p.add_argument("set_file")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--arc-width", type=float, default=None, help="major-arc radius K (default min(A)/2)")
+    p.add_argument("--arc-width", type=_finite_float, default=None, help="major-arc radius K (default min(A)/2)")
     p.add_argument("--lcm-bound", type=_positive_int, default=DEFAULT_LCM_BOUND)
     p.add_argument("--out")
     p.add_argument("--threads", type=_positive_int, default=1)

@@ -234,8 +234,8 @@ def arc_classify(
     memory passes the module's byte budget.
     """
     A = as_intset(A)
-    if K < 0:
-        raise DomainError("arc radius K must be >= 0")
+    if not K >= 0:  # NaN too: it would make every frequency minor
+        raise DomainError(f"arc radius K must be >= 0, got {K!r}")
     L = lcm_set(A)
     if _ARC_BYTES_PER_FREQ * L > _ARC_BYTE_BUDGET:
         raise ResourceLimitError(

@@ -5,9 +5,12 @@ complete: a "found" result carries a verified witness, an
 "exhausted_none" result certifies that no qualifying subset exists, and
 running out of node budget is reported as a status rather than an error.
 
-The searches and the enumeration counters work in integer units of 1/L,
-L a common multiple of the elements and of the target's denominator: a
-subset sum is then an int, and no Fraction is formed per node.
+Every search and both counters work in integer units of 1/L, L = lcm(A),
+as scaled once by ``_scaled``: element n weighs L/n, a subset sum is an
+int, and no Fraction is formed per node.  The target t is then the integer
+T = t*L, or no subset reaches it: when t*L is not an integer or lies
+outside [0, sum of the weights], every strategy answers "exhausted_none"
+in 0 nodes and ``count_subsets`` answers 0.
 
 Before ``auto`` searches, ``reduce_to_core`` removes the elements that lie
 in no solution, one prime at a time.  For a prime p let P = p^v, with v
@@ -34,8 +37,10 @@ int is set iff some chosen elements sum to 1 - 1/n, that is, iff adding n
 would complete a solution; n is included only while the bit is clear.
 
 Every DP table, a run of sets from the one reachability kernel
-``_subset_sums`` or a counter's array, is checked against ``_BYTE_BUDGET``
-before it is allocated; ``_EXHAUSTIVE_BOUND`` caps the counters' enumeration.
+``_subset_sums`` or a count array of its counting twin ``_count_sums``, is
+checked against ``_BYTE_BUDGET`` before it is allocated.  ``_count_sums``
+meets in the middle up to ``_EXHAUSTIVE_BOUND`` weights and runs its DP past
+them.
 """
 from __future__ import annotations
 
@@ -54,7 +59,7 @@ from .errors import DomainError, ResourceLimitError
 from .rational import IntSet, SetLike, as_intset, recip_sum
 from .sieve import Factorization, factorize_all, prime_factors
 
-# count_subsets and count_integral enumerate subset sums up to this many elements
+# _count_sums meets in the middle up to this many weights and runs its DP past them
 _EXHAUSTIVE_BOUND = 24
 # the bytes a DP table may hold: past them the residue DP and the counters raise,
 # auto runs dfs_bnb, reduce_to_core skips a prime and lambda_exact refuses N
@@ -81,6 +86,8 @@ class SolverConfig:
     deterministic: bool = True
 
     def __post_init__(self):
+        if self.strategy not in list(Strategy):
+            raise DomainError(f"unknown strategy {self.strategy!r}")
         if self.node_budget <= 0:
             raise DomainError("node_budget must be positive")
 
@@ -116,10 +123,16 @@ class _Nodes:
             raise _BudgetExhausted
 
 
-def _in_units(elems: Sequence[int], target: Fraction) -> tuple[int, int]:
-    """L = lcm(elems and the target's denominator), and the target in units of 1/L."""
-    L = math.lcm(target.denominator, *elems)
-    return L, target.numerator * (L // target.denominator)
+def _scaled(elems: Sequence[int], target: Fraction) -> Optional[tuple[int, list[int], int]]:
+    """L = lcm(elems), the weights L/n and the target T in units of 1/L, or None
+    when no subset reaches the target: a subset sum in these units is an
+    integer between 0 and the weights' sum."""
+    L = math.lcm(*elems)
+    weights = [L // n for n in elems]
+    T = target.numerator * (L // target.denominator)
+    if L % target.denominator or not 0 <= T <= sum(weights):
+        return None
+    return L, weights, T
 
 
 # ---------------------------------------------------------------------------
@@ -139,22 +152,21 @@ def _dfs_search(
     L: int,
     T: int,
     factors: dict[int, list[int]],
-    target_primes: Sequence[int],
     nodes: _Nodes,
 ) -> Optional[tuple[int, ...]]:
     """Complete DFS over ``order``, include-first, in units of 1/L.
 
-    L is a common multiple of the elements and of the target's
-    denominator, so the target is the integer T and element n weighs
-    L/n.  Returns the first qualifying subset in exploration order, or
-    None if none exists.  Two sound cuts are applied: the remaining suffix
-    weight must cover the deficit D, and every prime left in the deficit's
-    denominator must still divide some remaining element (otherwise it can
-    never cancel).  A prime p is in that denominator iff p^v_p(L) does not
-    divide D.  A node's parent has already cleared every prime its own
-    suffix lacks, and the element between them is coprime to those, so
-    each node tests only the primes whose last carrier is the element just
-    decided (at the root, the target's primes no element carries).
+    L is the lcm of the elements, element n weighs L/n and the target is
+    the integer T (see ``_scaled``).  Returns the first qualifying subset
+    in exploration order, or None if none exists.  Two sound cuts are
+    applied: the remaining suffix weight must cover the deficit D, and
+    every prime left in the deficit's denominator must still divide some
+    remaining element (otherwise it can never cancel).  A prime p is in
+    that denominator iff p^v_p(L) does not divide D.  A node's parent has
+    already cleared every prime its own suffix lacks, and the element
+    between them is coprime to those, so each node tests only the primes
+    whose last carrier is the element just decided; the root tests none,
+    since each prime of L divides an element.
 
     The tree is walked with an explicit stack, so its depth is bounded by
     nothing but memory.
@@ -167,8 +179,6 @@ def _dfs_search(
     # dying[i]: the prime powers p^v_p(L) whose prime first goes missing from order[i:]
     dying: list[list[int]] = [[] for _ in range(k + 1)]
     last = {p: i + 1 for i, n in enumerate(order) for p in factors[n]}
-    for p in target_primes:
-        last.setdefault(p, 0)
     for p, i in last.items():
         dying[i].append(_prime_power_part(L, p))
 
@@ -211,17 +221,15 @@ def _grouped_order(elems: Sequence[int], factors: dict[int, list[int]]) -> list[
 
 
 def _find_dfs(
-    elems: Sequence[int], target: Fraction, cfg: SolverConfig, nodes: _Nodes, factors: dict[int, list[int]]
+    elems: Sequence[int], L: int, T: int, cfg: SolverConfig, nodes: _Nodes, factors: dict[int, list[int]]
 ) -> SolverResult:
-    target_primes = prime_factors(target.denominator)
-    L, T = _in_units(elems, target)
-    witness = _dfs_search(_grouped_order(elems, factors), L, T, factors, target_primes, nodes)
+    witness = _dfs_search(_grouped_order(elems, factors), L, T, factors, nodes)
     if witness is None:
         return SolverResult(SolverStatus.EXHAUSTED_NONE, None, nodes.count)
     if cfg.deterministic:
         # re-search in ascending element order: include-first DFS then
         # yields the lexicographically smallest qualifying subset
-        witness = _dfs_search(elems, L, T, factors, target_primes, nodes)
+        witness = _dfs_search(elems, L, T, factors, nodes)
         assert witness is not None
     return SolverResult(SolverStatus.FOUND, IntSet(witness), nodes.count)
 
@@ -230,19 +238,18 @@ def _find_dfs(
 # meet in the middle
 
 
-def _alternating_split(elems: Sequence[int]) -> tuple[list[int], list[int]]:
-    # alternating ranks keep the two halves' lcms comparable in size
-    return list(elems[0::2]), list(elems[1::2])
+def _alternating_split(items: Sequence[int]) -> tuple[list[int], list[int]]:
+    # alternating ranks keep the two halves' weight sums comparable in size
+    return list(items[0::2]), list(items[1::2])
 
 
-def _enumerate_sums(half: Sequence[int], L: int, nodes: Optional[_Nodes]) -> list[int]:
-    """All 2^|half| subset sums in units of 1/L (L a multiple of each element).
+def _enumerate_sums(weights: Sequence[int], nodes: Optional[_Nodes] = None) -> list[int]:
+    """All 2^|weights| subset sums of the weights.
 
-    Entry j is the sum over the subset {half[t] : bit t of j is set}.
+    Entry j is the sum over the subset {weights[t] : bit t of j is set}.
     """
     out = [0]
-    for n in half:
-        w = L // n
+    for w in weights:
         out += [s + w for s in out]
         if nodes is not None:
             nodes.spend(len(out) // 2)
@@ -253,17 +260,17 @@ def _subset(half: Sequence[int], j: int) -> tuple[int, ...]:
     return tuple(n for t, n in enumerate(half) if j >> t & 1)
 
 
-def _find_meet(elems: Sequence[int], target: Fraction, cfg: SolverConfig, nodes: _Nodes) -> SolverResult:
+def _find_meet(elems: Sequence[int], weights: Sequence[int], T: int, cfg: SolverConfig, nodes: _Nodes) -> SolverResult:
     left, right = _alternating_split(elems)
     if 2 ** len(left) + 2 ** len(right) > cfg.node_budget:
         nodes.count = cfg.node_budget
         return SolverResult(SolverStatus.BUDGET_EXCEEDED, None, nodes.count)
-    L, T = _in_units(elems, target)
+    left_weights, right_weights = _alternating_split(weights)
     left_sums: dict[int, list[int]] = {}
-    for j, s in enumerate(_enumerate_sums(left, L, nodes)):
+    for j, s in enumerate(_enumerate_sums(left_weights, nodes)):
         left_sums.setdefault(s, []).append(j)
     best: Optional[tuple[int, ...]] = None
-    for jr, s in enumerate(_enumerate_sums(right, L, nodes)):
+    for jr, s in enumerate(_enumerate_sums(right_weights, nodes)):
         for jl in left_sums.get(T - s, ()):
             candidate = tuple(sorted(_subset(left, jl) + _subset(right, jr)))
             if not cfg.deterministic:
@@ -306,34 +313,35 @@ def _subset_sums(weights: Sequence[int], width: int, cyclic: bool = False) -> li
     return sets
 
 
-def _scaled(elems: Sequence[int], target: Fraction) -> Optional[tuple[list[int], int]]:
-    """The weights L/n and the target T in units of 1/L, L = lcm(elems), or None
-    when no subset reaches T: a subset sum is an integer in these units, and at most the weights' sum."""
-    L = math.lcm(*elems)
-    scaled = target * L
-    weights = [L // n for n in elems]
-    if scaled.denominator != 1 or scaled > sum(weights):
-        return None
-    return weights, int(scaled)
+def _count_sums(weights: Sequence[int], r: int, width: int, cyclic: bool = False) -> int:
+    """The number of subsets of the weights that sum to r, the counting twin
+    of ``_subset_sums``: mod ``width`` when ``cyclic``, else exactly, r < width.
 
-
-def _count_table(size: int, k: int, what: str) -> np.ndarray:
-    """A count array of ``size`` entries, 1 at entry 0, for the subsets of k
-    elements: int64 up to k = 62, since a count is below 2^k, and past that
-    pointers to ints of at most 32 + 8 * (k // 30) bytes.  Raises ResourceLimitError
-    before allocating when it and the temporary of a DP step would pass the budget."""
+    Meets in the middle up to ``_EXHAUSTIVE_BOUND`` weights.  Past that it
+    runs a DP over a table of ``width`` counts: int64 up to 62 weights, since
+    a count is below 2^k for k weights, and past that pointers to ints of at
+    most 32 + 8 * (k // 30) bytes.  Raises ResourceLimitError before
+    allocating when the table and the temporary of a DP step would pass the
+    byte budget.
+    """
+    k = len(weights)
+    if k <= _EXHAUSTIVE_BOUND:
+        left, right = _alternating_split(weights)
+        counts = Counter(s % width if cyclic else s for s in _enumerate_sums(left))
+        return sum(counts[(r - s) % width if cyclic else r - s] for s in _enumerate_sums(right))
     dtype, entry = (np.int64, 8) if k <= 62 else (object, 8 + 32 + 8 * (k // 30))
-    _check_bytes(2 * size * entry, what)
-    dp = np.zeros(size, dtype=dtype)
+    _check_bytes(2 * width * entry, "the table of subset-sum counts")
+    dp = np.zeros(width, dtype=dtype)
     dp[0] = 1
-    return dp
+    for w in weights:
+        if cyclic:
+            dp += np.roll(dp, w)
+        else:
+            dp[w:] += dp[:-w]
+    return int(dp[r])
 
 
-def _find_residue(elems: Sequence[int], target: Fraction, nodes: _Nodes) -> SolverResult:
-    scaled = _scaled(elems, target)
-    if scaled is None:
-        return SolverResult(SolverStatus.EXHAUSTED_NONE, None, nodes.count)
-    weights, T = scaled
+def _find_residue(elems: Sequence[int], weights: Sequence[int], T: int, nodes: _Nodes) -> SolverResult:
     nodes.spend(len(elems))
     # suffix[j] holds the subset sums of the last j elements
     suffix = _subset_sums(weights[::-1], T + 1)
@@ -488,13 +496,11 @@ def reduce_to_core(A: SetLike, target) -> CoreReduction:
 # public entry points
 
 
-def _pick_strategy(elems: Sequence[int], target: Fraction) -> Strategy:
+def _pick_strategy(weights: Sequence[int], T: int) -> Strategy:
     """The strategy ``auto`` runs: the residue DP from 24 elements on, unless its sets would pass the byte budget."""
-    if len(elems) >= 24:
-        scaled = _scaled(elems, target)
-        # _find_residue runs the weights last to first
-        if scaled is None or _sets_bytes(scaled[0][::-1], scaled[1] + 1) <= _BYTE_BUDGET:
-            return Strategy.RESIDUE_DP
+    # _find_residue runs the weights last to first
+    if len(weights) >= 24 and _sets_bytes(weights[::-1], T + 1) <= _BYTE_BUDGET:
+        return Strategy.RESIDUE_DP
     return Strategy.DFS_BNB
 
 
@@ -505,84 +511,68 @@ def find_subset(A: SetLike, target, cfg: SolverConfig = SolverConfig()) -> Solve
     lexicographically smallest qualifying subset under ascending element
     order, regardless of strategy.  ``auto`` first reduces A to its core
     (``reduce_to_core``), which holds every solution, so the witness is the
-    same; an empty core with a nonzero target is "exhausted_none" in 0
-    nodes.  The explicit strategies search A as given.
+    same.  The explicit strategies search A as given.  Every strategy
+    answers "exhausted_none" in 0 nodes when the set it would search rules
+    the target out in units of 1/lcm (see ``_scaled``): the target's
+    denominator does not divide the lcm, or the target passes the set's
+    reciprocal sum.  An empty core with a nonzero target is such a case.
     """
     A = as_intset(A)
     target = Fraction(target)
     if target < 0:
         raise DomainError("target must be >= 0")
     elems = list(A.elements)
-    strategy, factors = cfg.strategy, None
+    strategy, factorizations = cfg.strategy, None
     if strategy == Strategy.AUTO:
         factorizations = factorize_all(elems)
         elems = list(_reduce(elems, target, factorizations).core.elements)
-        if not elems and target:
-            return SolverResult(SolverStatus.EXHAUSTED_NONE, None, 0)
-        factors = {n: [p for p, _ in factorizations[n]] for n in elems}
-        strategy = _pick_strategy(elems, target)
+    scaled = _scaled(elems, target)
+    if scaled is None:
+        return SolverResult(SolverStatus.EXHAUSTED_NONE, None, 0)
+    L, weights, T = scaled
+    if strategy == Strategy.AUTO:
+        strategy = _pick_strategy(weights, T)
     nodes = _Nodes(cfg.node_budget)
     try:
-        if strategy == Strategy.DFS_BNB:
-            if factors is None:
-                factors = {n: prime_factors(n) for n in elems}
-            return _find_dfs(elems, target, cfg, nodes, factors)
         if strategy == Strategy.MEET_MIDDLE:
-            return _find_meet(elems, target, cfg, nodes)
+            return _find_meet(elems, weights, T, cfg, nodes)
         if strategy == Strategy.RESIDUE_DP:
-            return _find_residue(elems, target, nodes)
+            return _find_residue(elems, weights, T, nodes)
+        if factorizations is None:
+            factors = {n: prime_factors(n) for n in elems}
+        else:
+            factors = {n: [p for p, _ in factorizations[n]] for n in elems}
+        return _find_dfs(elems, L, T, cfg, nodes, factors)
     except _BudgetExhausted:
         return SolverResult(SolverStatus.BUDGET_EXCEEDED, None, nodes.count)
-    raise DomainError(f"unknown strategy {cfg.strategy!r}")
 
 
 def count_subsets(A: SetLike, target) -> int:
-    """Exact number of subsets S of A with reciprocal sum equal to target."""
-    A = as_intset(A)
-    target = Fraction(target)
-    if target < 0:
-        return 0
-    elems = list(A.elements)
-    if len(elems) <= _EXHAUSTIVE_BOUND:
-        left, right = _alternating_split(elems)
-        L, T = _in_units(elems, target)
-        counts = Counter(_enumerate_sums(left, L, None))
-        return sum(counts[T - s] for s in _enumerate_sums(right, L, None))
-    scaled = _scaled(elems, target)
+    """Exact number of subsets S of A with reciprocal sum equal to target.
+
+    Counts the subsets of the weights L/n, L = lcm(A), that sum to the
+    target T in units of 1/L (``_count_sums`` with T + 1 sums); 0 when the
+    target has no such T.
+    """
+    scaled = _scaled(as_intset(A).elements, Fraction(target))
     if scaled is None:
         return 0
-    weights, T = scaled
-    dp = _count_table(T + 1, len(weights), "count_subsets' table of sums")
-    for w in weights:
-        dp[w:] = dp[w:] + dp[:-w]
-    return int(dp[T])
+    _, weights, T = scaled
+    return _count_sums(weights, T, T + 1)
 
 
 def count_integral(A: SetLike, k: int) -> int:
     """Exact number of subsets S of A for which k * recip_sum(S) is an integer.
 
-    Computed by dynamic programming over residues of k*(L/n) modulo
-    L = lcm(A); the residue-0 count is exact.  Falls back to meet-in-the-
-    middle over subset sums in units of 1/L, taken modulo L, when the table
-    would pass the byte budget but the set is small.
+    In units of 1/L, L = lcm(A), k * recip_sum(S) is an integer iff the
+    residues k*(L/n) mod L over S sum to 0 mod L: ``_count_sums`` counts
+    them cyclically, over L residues.
     """
     A = as_intset(A)
     if k < 1:
         raise DomainError("k must be a positive integer")
-    elems = list(A.elements)
-    L = math.lcm(*elems)
-    try:
-        dp = _count_table(L, len(elems), "count_integral's table of residues")
-    except ResourceLimitError:
-        if len(elems) > _EXHAUSTIVE_BOUND:
-            raise
-        # k * (S_left + S_right) / L is an integer iff k * S_left = -k * S_right (mod L)
-        left, right = _alternating_split(elems)
-        counts = Counter((k * s) % L for s in _enumerate_sums(left, L, None))
-        return sum(counts[(-k * s) % L] for s in _enumerate_sums(right, L, None))
-    for n in elems:
-        dp += np.roll(dp, (k * (L // n)) % L)
-    return int(dp[0])
+    L = math.lcm(*A.elements)
+    return _count_sums([k * (L // n) % L for n in A.elements], 0, L, cyclic=True)
 
 
 def combine_solutions(parts: Sequence[tuple[SetLike, int]]) -> Optional[IntSet]:

@@ -120,7 +120,7 @@ def _trial_primes(n: int) -> list[int]:
     return [p for p, _ in trial_factorize(n)]
 
 
-def reference_dfs(order, target, counter: list, budget: int, extra_primes):
+def reference_dfs(order, target, counter: list, budget: int):
     """Include-first recursive DFS over ``order`` with the suffix-sum cut and
     the full dead-prime scan; ``counter[0]`` counts nodes and the search
     raises ReferenceBudgetExhausted once it passes ``budget``."""
@@ -130,7 +130,7 @@ def reference_dfs(order, target, counter: list, budget: int, extra_primes):
     for i in range(k - 1, -1, -1):
         suffix[i] = suffix[i + 1] + fracs[i]
     factor_lists = [_trial_primes(n) for n in order]
-    all_primes = set(extra_primes)
+    all_primes = set()
     for fs in factor_lists:
         all_primes.update(fs)
     supp = set()
@@ -166,19 +166,26 @@ def reference_grouped_order(elems) -> list[int]:
     return sorted(elems, key=lambda n: (-_trial_primes(n)[-1] if n > 1 else -1, n))
 
 
+def reference_unreachable(A, target) -> bool:
+    """Whether the target's denominator fails to divide lcm(A) or the target
+    lies outside [0, R(A)]: then every search stops before its first node."""
+    return math.lcm(*A) % target.denominator != 0 or not 0 <= target <= sum(Fraction(1, n) for n in A)
+
+
 def reference_find_dfs(A, target, budget: int, deterministic: bool = True):
     """(status, witness, nodes) of a dfs_bnb search: grouped order first, then
     an ascending re-search for the lexicographically smallest witness."""
     elems = sorted(A)
     target = Fraction(target)
-    extra = _trial_primes(target.denominator)
+    if reference_unreachable(elems, target):
+        return "exhausted_none", None, 0
     counter = [0]
     try:
-        witness = reference_dfs(reference_grouped_order(elems), target, counter, budget, extra)
+        witness = reference_dfs(reference_grouped_order(elems), target, counter, budget)
         if witness is None:
             return "exhausted_none", None, counter[0]
         if deterministic:
-            witness = reference_dfs(elems, target, counter, budget, extra)
+            witness = reference_dfs(elems, target, counter, budget)
     except ReferenceBudgetExhausted:
         return "budget_exceeded", None, counter[0]
     return "found", tuple(sorted(witness)), counter[0]
@@ -196,6 +203,8 @@ def reference_find_meet(A, target, budget: int, deterministic: bool = True):
     """(status, witness, nodes) of a meet_middle search over alternating halves."""
     elems = sorted(A)
     target = Fraction(target)
+    if reference_unreachable(elems, target):
+        return "exhausted_none", None, 0
     left, right = elems[0::2], elems[1::2]
     if 2 ** len(left) + 2 ** len(right) > budget:
         return "budget_exceeded", None, budget

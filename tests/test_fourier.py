@@ -226,6 +226,14 @@ def test_cosine_weight_exponential_bound():
         assert cosine_weight(B, k, h) <= math.exp(-exponent) + 1e-12
 
 
+def test_arc_classify_rejects_a_nan_radius():
+    # every comparison with NaN is false, so it used to make every frequency minor
+    with pytest.raises(DomainError):
+        arc_classify([2, 3, 6], 1, float("nan"))
+    with pytest.raises(DomainError):
+        arc_classify([2, 3, 6], 1, -1.0)
+
+
 def test_arc_classify_examples():
     d = arc_classify([2, 3, 6], 1, 2)
     assert d.L == 6 and d.k == 1

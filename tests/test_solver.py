@@ -60,6 +60,26 @@ def test_find_subset_rejects_negative_target():
         find_subset([2, 3], Fraction(-1, 2))
 
 
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES + [Strategy.AUTO])
+def test_unreachable_target_is_exhausted_in_zero_nodes(strategy):
+    # 7 divides no element, so lcm(A) is no multiple of 1/7's denominator;
+    # 2 is past R(A) = 1 + 7/12; neither is searched, and neither is counted
+    A = [2, 3, 4, 6, 12]
+    for target in (Fraction(1, 7), Fraction(2)):
+        res = find_subset(A, target, SolverConfig(strategy=strategy, node_budget=1))
+        assert _outcome(res) == ("exhausted_none", None, 0), target
+        assert count_subsets(A, target) == 0
+
+
+def test_solver_config_rejects_an_unknown_strategy():
+    with pytest.raises(DomainError, match="bogus"):
+        SolverConfig(strategy="bogus")
+    for target in (Fraction(1), Fraction(1, 7)):
+        with pytest.raises(DomainError):
+            find_subset([2, 3, 6], target, SolverConfig(strategy="bogus"))
+    assert SolverConfig(strategy="dfs_bnb").strategy == Strategy.DFS_BNB
+
+
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
 def test_find_matches_brute_force_enumeration(strategy):
     rng = random.Random(31)
@@ -96,13 +116,15 @@ def test_count_subsets_examples():
 
 
 def test_count_subsets_dp_route_matches_enumeration(monkeypatch):
-    monkeypatch.setattr(solver, "_EXHAUSTIVE_BOUND", 0)
     rng = random.Random(32)
     for _ in range(40):
         A = random_lcm_capped_set(rng, 2, 48, 12, 5000)
         target = rng.choice([Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(2)])
-        via_dp = count_subsets(A, target)
-        assert via_dp == len(brute_subsets_with_sum(A, target)), (A, target)
+        expected = len(brute_subsets_with_sum(A, target))
+        # an exhaustive bound of 0 forces the DP, one of at least |A| meet in the middle
+        for bound in (0, len(A)):
+            monkeypatch.setattr(solver, "_EXHAUSTIVE_BOUND", bound)
+            assert count_subsets(A, target) == expected, (A, target, bound)
 
 
 def test_count_subsets_resource_error():
@@ -171,9 +193,12 @@ def test_count_integral_fractional_route_matches_dp(monkeypatch):
     for _ in range(25):
         A = random_lcm_capped_set(rng, 2, 40, 10, 10**5)
         k = rng.randint(1, 3)
-        via_dp = count_integral(A, k)
+        # an exhaustive bound of 0 forces the DP, one of at least |A| meet in the middle
         with monkeypatch.context() as m:
-            m.setattr(solver, "_BYTE_BUDGET", 0)
+            m.setattr(solver, "_EXHAUSTIVE_BOUND", 0)
+            via_dp = count_integral(A, k)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_EXHAUSTIVE_BOUND", len(A))
             via_parts = count_integral(A, k)
         assert via_dp == via_parts
 
@@ -376,18 +401,22 @@ def test_dfs_matches_fraction_reference(deterministic):
 
 def test_dfs_kernel_matches_fraction_reference_in_ascending_order():
     # find_subset runs the ascending order only after a grouped-order hit; here
-    # the kernel runs it alone, exhausted and budget-cut searches included
+    # the kernel runs it alone, exhausted and budget-cut searches included;
+    # find_subset answers the targets _scaled rules out before any search
     for A, target, budget in _equivalence_instances(42, 150, 30):
+        scaled = solver._scaled(A, target)
+        if scaled is None:
+            continue
+        L, _, T = scaled
         counter = [0]
         try:
-            expected = reference_dfs(A, target, counter, budget, prime_factors(target.denominator))
+            expected = reference_dfs(A, target, counter, budget)
         except ReferenceBudgetExhausted:
             expected = "budget"
         nodes = solver._Nodes(budget)
-        L, T = solver._in_units(A, target)
         factors = {n: prime_factors(n) for n in A}
         try:
-            got = solver._dfs_search(A, L, T, factors, prime_factors(target.denominator), nodes)
+            got = solver._dfs_search(A, L, T, factors, nodes)
         except solver._BudgetExhausted:
             got = "budget"
         assert (got, nodes.count) == (expected, counter[0]), (A, target, budget)
@@ -403,13 +432,25 @@ def test_meet_matches_fraction_reference(deterministic):
 
 def test_counters_match_fraction_reference(monkeypatch):
     rng = random.Random(44)
+    dp_runs = 0
     for A, target, _ in _equivalence_instances(44, 80, 16):
-        assert count_subsets(A, target) == reference_count_subsets(A, target), (A, target)
         k = rng.randint(1, 4)
-        # an lcm bound of 1 forces the enumeration branch of count_integral
+        expected = reference_count_subsets(A, target), reference_count_integral(A, k)
+        # meet in the middle, forced by an exhaustive bound of at least |A|
         with monkeypatch.context() as m:
-            m.setattr(solver, "_BYTE_BUDGET", 0)
-            assert count_integral(A, k) == reference_count_integral(A, k), (A, k)
+            m.setattr(solver, "_EXHAUSTIVE_BOUND", len(A))
+            assert (count_subsets(A, target), count_integral(A, k)) == expected, (A, target, k)
+        # the DP, forced by an exhaustive bound of 0, wherever its table fits the byte budget
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_EXHAUSTIVE_BOUND", 0)
+            for count, arg, want in ((count_subsets, target, expected[0]), (count_integral, k, expected[1])):
+                try:
+                    got = count(A, arg)
+                except ResourceLimitError:
+                    continue
+                assert got == want, (A, arg)
+                dp_runs += 1
+    assert dp_runs > 60, dp_runs
 
 
 def _solution_elements(A, target) -> set[int]:
