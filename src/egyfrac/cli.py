@@ -74,7 +74,7 @@ _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -11,8 +11,12 @@ by their distance to multiples of L/k, and reports the damping weights
 C(A; h) = prod |cos(pi k h / n)| that control the minor-arc mass.
 
 Factors and weights depend on h only through (k h) mod n, so each element
-n gets one table of its n values, gathered per h: sum(A) exp/cos calls in
-place of |A| * L.  A count is refused before any product is formed when its
+n gets one table of its n values, all built in one vectorized pass: sum(A)
+exp/cos calls in place of |A| * L.  The product of the first j tables is
+periodic in h with period lcm(n_1..n_j), so _gathered_product forms it over
+min(lcm(n_1..n_j), chunk) entries and multiplies each table in as one rotated
+row: sum over j of min(lcm(n_1..n_j), chunk) multiplies per chunk, and no
+modulo over h.  A count is refused before any product is formed when its
 a-priori error bound 18 m 2^m u (u = 2^-53, m = |A|) reaches 1/4: m >= 42.
 A table entry 1 + e(j/n) is within 23u of exact (three roundings in the phase,
 < 2 pi 3u; 1 ulp in cos and in sin; one in adding 1.0), a complex product adds
@@ -35,7 +39,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, NumericalInstabilityError, ResourceLimitError
-from .rational import SetLike, as_intset, lcm_set
+from .rational import IntSet, SetLike, as_intset, lcm_set
 
 DEFAULT_LCM_BOUND = 10**6
 _CHUNK = 1 << 17
@@ -130,17 +134,40 @@ def _exact_sum(x: np.ndarray) -> float:
     return math.fsum(x.tolist())
 
 
-def _cos_table(n: int) -> np.ndarray:
-    """|cos(pi j / n)| at j = min(i, n - i) for i < n, and 0 where 2j = n."""
-    j = np.minimum(np.arange(n), n - np.arange(n))
-    return np.where(2 * j == n, 0.0, np.abs(np.cos(np.pi * j / n)))
+def _phase_tables(A: IntSet) -> tuple[np.ndarray, np.ndarray]:
+    """j and n of every table entry: j = 0 .. n - 1 for each n in A, stacked in A's order."""
+    ns = np.fromiter(A, dtype=np.int64, count=len(A))
+    n = np.repeat(ns, ns)
+    return np.arange(len(n)) - np.repeat(np.cumsum(ns) - ns, ns), n
 
 
-def _gathered_product(tables: list[np.ndarray], kh: np.ndarray, dtype) -> np.ndarray:
-    """Product over the tables t of t[kh mod len(t)], elementwise in kh."""
-    prod = np.ones(len(kh), dtype=dtype)
-    for table in tables:
-        prod *= table[kh % len(table)]
+def _gathered_product(tables: np.ndarray, A: IntSet, k: int, start: int, length: int) -> np.ndarray:
+    """Product over n in A of t_n[(k h) mod n] at h = start .. start + length - 1.
+
+    t_n is n's table, the next n entries of tables in A's order, and length is
+    at most lcm(A), so the last product spans all length entries.  The product
+    of the first j tables has period m = lcm(n_1..n_j) in h, so it is held over
+    min(m, length) entries and extended with np.resize as m grows.  Each table
+    enters as one rotated row t_n[(k (start + i)) mod n], i < n, multiplied into
+    a (q, n) view of the product plus an r-entry tail.  Every entry gets the
+    same factors in the same order as a product formed per h.
+    """
+    kh = k * np.arange(start, start + min(max(A, default=0), length))
+    prod = np.ones(1, dtype=tables.dtype)
+    m, offset = 1, 0
+    for n in A:
+        m = math.lcm(m, n)
+        size = min(m, length)
+        if size > len(prod):
+            prod = np.resize(prod, size)
+        row = tables[offset : offset + n][kh[: min(n, size)] % n]
+        q, r = divmod(size, n)
+        if q:
+            block = prod[: q * n].reshape(q, n)  # a view: prod is contiguous
+            block *= row
+        if r:
+            prod[q * n :] *= row[:r]
+        offset += n
     return prod
 
 
@@ -165,13 +192,13 @@ def orthogonality_sum(
         raise ResourceLimitError(f"lcm {L} exceeds the configured bound {lcm_bound}")
     if k * L > 2**62:
         raise ResourceLimitError("k * lcm too large for exact 64-bit phase reduction")
-    roots = [1.0 + np.exp((2j * np.pi) * (np.arange(n) / n)) for n in A]  # 1 + e(j/n), j < n
+    num, den = _phase_tables(A)
+    roots = 1.0 + np.exp((2j * np.pi) * (num / den))  # 1 + e(j/n)
     h = _h_range(L)
     starts = h[::_CHUNK]
 
     def chunk_sums(start: int) -> tuple[float, float]:
-        hs = np.arange(start, min(start + _CHUNK, h.stop), dtype=np.int64)
-        prod = _gathered_product(roots, k * hs, np.complex128)
+        prod = _gathered_product(roots, A, k, start, min(_CHUNK, h.stop - start))
         return _exact_sum(prod.real), _exact_sum(prod.imag)
 
     if threads > 1 and len(starts) > 1:
@@ -234,8 +261,8 @@ def arc_classify(
     memory passes the module's byte budget.
     """
     A = as_intset(A)
-    if not K >= 0:  # NaN too: it would make every frequency minor
-        raise DomainError(f"arc radius K must be >= 0, got {K!r}")
+    if not 0 <= K < math.inf:  # NaN would make every frequency minor, inf every one major and K non-JSON
+        raise DomainError(f"arc radius K must be finite and >= 0, got {K!r}")
     L = lcm_set(A)
     if _ARC_BYTES_PER_FREQ * L > _ARC_BYTE_BUDGET:
         raise ResourceLimitError(
@@ -250,7 +277,10 @@ def arc_classify(
     # distance from k*h to the nearest multiple of L, exactly in integers
     r = kh % L
     major_mask = 2 * np.minimum(r, L - r) <= K
-    weights_arr = _gathered_product([_cos_table(n) for n in A], kh, np.float64)
+    num, den = _phase_tables(A)
+    num = np.minimum(num, den - num)
+    cosines = np.where(2 * num == den, 0.0, np.abs(np.cos(np.pi * num / den)))  # |cos(pi j / n)|, 0 where 2j = n
+    weights_arr = np.delete(_gathered_product(cosines, A, k, h.start, L), -h.start)  # h = 0 left out
     return ArcDiagnostics(
         L=L,
         k=k,

@@ -392,6 +392,14 @@ def test_programming_errors_are_not_mapped(tmp_path, monkeypatch):
         main(["experiment", "mertens", "--out-dir", str(tmp_path)])
 
 
+def test_dump_json_refuses_non_finite_floats():
+    # Infinity and NaN are not JSON; the encoder used to write them as bare words
+    with pytest.raises(ValueError):
+        egyfrac.cli._dump_json({"x": float("inf")})
+    with pytest.raises(ValueError):
+        egyfrac.cli._dump_json({"x": [float("nan")]})
+
+
 # sha256 of each artifact and its manifest sidecar; these bytes are part of
 # the CLI's contract and must not change
 PINNED_ARTIFACTS = [

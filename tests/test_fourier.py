@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -187,6 +188,55 @@ def test_table_kernel_matches_per_frequency_formula_bitwise():
             assert arc_classify(A, k, 2.0).weights == _reference_weights(A, k), (A, k)
 
 
+def _assert_kernel_matches_reference(A, k, threads=1, weights=True):
+    want = _reference_sum(A, k)
+    assert orthogonality_sum(A, k, threads=threads) == want, (A, k, threads)
+    if weights:
+        assert arc_classify(A, k, 2.0, threads=threads).weights == _reference_weights(A, k), (A, k, threads)
+
+
+def test_kernel_on_the_empty_set():
+    for k in (1, 2, 3):
+        _assert_kernel_matches_reference([], k)
+        assert fourier_count([], k) == (1.0, 1)
+        assert orthogonality_sum([], k) == (1.0, 0.0, 1)
+
+
+def test_kernel_on_a_set_containing_one():
+    for A in ([1], [1, 2], [1, 3, 4, 6], [1, 2, 5, 7, 10, 14]):
+        for k in (1, 2, 3):
+            _assert_kernel_matches_reference(A, k)
+
+
+def test_kernel_where_rotated_rows_repeat():
+    # k shares a factor with the elements, so each row repeats within its n entries
+    for A, k in [([2, 4, 6, 8, 12], 2), ([4, 6, 10, 16, 30], 2), ([3, 6, 9, 12, 18], 3),
+                 ([6, 9, 15, 21, 27, 30], 3), ([2, 3, 4, 6, 9, 12, 36], 2), ([2, 3, 4, 6, 9, 12, 36], 3)]:
+        _assert_kernel_matches_reference(A, k)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_kernel_across_three_chunks(threads):
+    # L = 360360 spans three chunks, and the chunk length 2^17 is a multiple of no odd element
+    A = divisors_above_one(360360)[:16]
+    assert lcm_set(A) == 360360 and 2 * egyfrac.fourier._CHUNK < 360360 < 3 * egyfrac.fourier._CHUNK
+    _assert_kernel_matches_reference(A, 1, threads, weights=threads == 1)  # the weights run on one thread
+    _assert_kernel_matches_reference(A, 2, threads, weights=False)
+
+
+@pytest.mark.parametrize("N,m", [(27720, 13), (55440, 14)])
+def test_arc_byte_budget_covers_the_tracemalloc_peak(N, m):
+    A = divisors_above_one(N)[:m]
+    assert lcm_set(A) == N
+    tracemalloc.start()
+    try:
+        arc_classify(A, 1, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= egyfrac.fourier._ARC_BYTES_PER_FREQ * N, peak / N
+
+
 def test_fourier_resource_error():
     primes = [101, 103, 107, 109, 113, 127]
     with pytest.raises(ResourceLimitError):
@@ -232,6 +282,12 @@ def test_arc_classify_rejects_a_nan_radius():
         arc_classify([2, 3, 6], 1, float("nan"))
     with pytest.raises(DomainError):
         arc_classify([2, 3, 6], 1, -1.0)
+
+
+def test_arc_classify_rejects_an_infinite_radius():
+    # an infinite radius made every frequency major and its diagnostics non-JSON ("K": Infinity)
+    with pytest.raises(DomainError):
+        arc_classify([2, 3, 6], 1, math.inf)
 
 
 def test_arc_classify_examples():
