@@ -14,12 +14,12 @@ import numpy as np
 
 from .errors import DomainError, RangeError
 from .rational import IntSet, _reduced_fraction, balanced_merge
-from .sieve import FactorTable, exact_prime_powers, omega
+from .sieve import FactorTable, factorize, omega
 
 
 def passes_smoothness(n: int, bound: float, t: FactorTable) -> bool:
     """True iff every exact prime-power divisor of n is <= bound."""
-    return all(q <= bound for q in exact_prime_powers(n, t))
+    return all(p**r <= bound for p, r in factorize(n, t))
 
 
 def has_divisor_pair(n: int, y: float, z: float) -> bool:
@@ -117,11 +117,8 @@ def mertens_product(X: int, t: FactorTable) -> Fraction:
     ps = t.primes[: np.searchsorted(t.primes, X, side="right")]
     exponent = np.zeros(max(X, 1) + 1, dtype=np.int64)
     exponent[ps] = 1
-    rest = ps - 1
-    while (rest := rest[rest > 1]).size:
-        f = t._spf[rest]
+    for _, f in t.peel(ps - 1):
         exponent -= np.bincount(f, minlength=exponent.size)
-        rest //= f
     up, down = np.flatnonzero(exponent > 0), np.flatnonzero(exponent < 0)
     num = [p**e for p, e in zip(up.tolist(), exponent[up].tolist())]
     den = [p**-e for p, e in zip(down.tolist(), exponent[down].tolist())]

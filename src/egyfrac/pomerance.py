@@ -55,15 +55,10 @@ def _members(N: int, C: float, t: FactorTable) -> IntSet:
     if not C > 0:
         raise DomainError(f"C must be positive, got {C}")
     n = np.arange(2, N + 1)
-    # peel smallest prime factors off every n at once: the last one is the largest
+    # the last smallest prime factor peeled off each n is its largest prime
     largest = np.empty_like(n)
-    rem = n.copy()
-    live = np.arange(n.size)
-    while live.size:
-        f = t._spf[rem[live]]
-        largest[live] = f
-        rem[live] //= f
-        live = live[rem[live] > 1]
+    for live, p in t.peel(n.copy()):
+        largest[live] = p
     # math.log, not np.log: the two may differ in the last bit, which can move a member
     primes = n[largest == n]
     ln = np.zeros(N + 1)

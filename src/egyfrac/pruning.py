@@ -6,6 +6,10 @@ trims single elements, one at a time, until the reciprocal sum drops into
 the half-open window [alpha - 1/M, alpha).  Both are deterministic:
 always the smallest failing prime power, always the smallest candidate
 element.  All comparisons are exact rationals.
+
+Both run on a class index built from one ``build_decomposition`` of the
+input: the index copies its classes and weighs each with ``fraction_sum``,
+and prune_to_window builds its two indexes from the same decomposition.
 """
 from __future__ import annotations
 
@@ -13,9 +17,10 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .decomposition import Decomposition, build_decomposition
 from .errors import DomainError, InfeasibleError
-from .rational import IntSet, SetLike, as_intset, format_rational, recip_sum
-from .sieve import FactorTable, exact_prime_powers
+from .rational import IntSet, SetLike, as_intset, format_rational, fraction_sum, recip_sum
+from .sieve import FactorTable
 
 
 @dataclass(frozen=True)
@@ -46,24 +51,22 @@ class PruneTrace:
 class _ClassIndex:
     """The prime-power classes of a shrinking set, with their exact masses.
 
-    ppowers maps each element of the set to its exact prime powers.  A
-    class is light when its mass is below theta.  Masses only fall as
-    elements leave, so a light class stays light until it empties; the
-    light heap therefore holds every light class, plus emptied ones that
-    are skipped when they reach the top.  One removal costs O(omega(n)).
+    The classes start as copies of a decomposition's parts; ppowers maps
+    each element of the set to its exact prime powers.  A class is light
+    when its mass is below theta.  Masses only fall as elements leave, so a
+    light class stays light until it empties; the light heap therefore
+    holds every light class, plus emptied ones that are skipped when they
+    reach the top.  One removal costs O(omega(n)).
     """
 
-    def __init__(self, A: IntSet, theta: Fraction, t: FactorTable):
-        if A and A.elements[0] < 2:
-            raise DomainError("elements must be >= 2")
+    def __init__(self, dec: Decomposition, theta: Fraction):
         self.theta = theta
-        self.ppowers = {n: exact_prime_powers(n, t) for n in A}
-        self.classes: dict[int, set[int]] = {}
-        self.masses: dict[int, Fraction] = {}
-        for n, qs in self.ppowers.items():
-            for q in qs:
-                self.classes.setdefault(q, set()).add(n)
-                self.masses[q] = self.masses.get(q, Fraction(0)) + Fraction(q, n)
+        self.classes = {q: set(members) for q, members in dec.parts.items()}
+        self.masses = {q: fraction_sum((q, n) for n in members) for q, members in dec.parts.items()}
+        self.ppowers: dict[int, list[int]] = {n: [] for n in dec.base}
+        for q, members in dec.parts.items():
+            for n in members:
+                self.ppowers[n].append(q)
         self.light = [q for q, m in self.masses.items() if m < theta]
         heapq.heapify(self.light)
 
@@ -116,7 +119,7 @@ def prune_ppower(A: SetLike, theta, t: FactorTable) -> PruneTrace:
     theta = Fraction(theta)
     if theta < 0:
         raise DomainError("theta must be >= 0")
-    index = _ClassIndex(A, theta, t)
+    index = _ClassIndex(build_decomposition(A, t), theta)
     removed_qs, removed_elements = index.prune()
     final = IntSet(index.ppowers)
     return PruneTrace(
@@ -158,12 +161,13 @@ def prune_to_window(A: SetLike, alpha, theta, M: int, t: FactorTable) -> PruneTr
     for n in A:
         if not M <= n <= t.bound:
             raise DomainError(f"element {n} outside [{M}, {t.bound}]")
-    working = _ClassIndex(A, theta, t)
+    dec = build_decomposition(A, t)
+    working = _ClassIndex(dec, theta)
     if theta > 0:
         for q in working.classes:
             if q > M * theta:
                 raise DomainError(f"prime power {q} exceeds M*theta = {M * theta}")
-    core = _ClassIndex(A, 2 * theta, t)
+    core = _ClassIndex(dec, 2 * theta)
     core.prune()
     order = iter(A.elements)
     r = r_initial

@@ -5,9 +5,11 @@ exactly) and ``lcm_set``.  All rational values are ``fractions.Fraction``
 instances, which are always stored reduced with a positive denominator.
 
 Sums go through one kernel, ``fraction_sum``, a ``balanced_merge`` that
-divides out the gcd of the two denominators at each step.  Where a caller
-has proved its result in lowest terms (the Mertens sums of ``filters``),
-``_reduced_fraction`` builds the ``Fraction`` without the final gcd.
+divides out the gcd of the two denominators at each step: reciprocal sums
+and the class masses of ``decomposition`` and ``pruning`` alike.  Only the
+Mertens sums of ``filters``, which are in lowest terms by construction,
+keep their own gcd-free merge, and ``_reduced_fraction`` builds their
+``Fraction`` without the final gcd.
 """
 from __future__ import annotations
 

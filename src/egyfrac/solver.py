@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .rational import IntSet, SetLike, as_intset, recip_sum
-from .sieve import Factorization, factorize_all, prime_factors
+from .sieve import Factorization, factorize_all
 
 # _count_sums meets in the middle up to this many weights and runs its DP past them
 _EXHAUSTIVE_BOUND = 24
@@ -151,7 +151,7 @@ def _dfs_search(
     order: Sequence[int],
     L: int,
     T: int,
-    factors: dict[int, list[int]],
+    factors: dict[int, Factorization],
     nodes: _Nodes,
 ) -> Optional[tuple[int, ...]]:
     """Complete DFS over ``order``, include-first, in units of 1/L.
@@ -178,7 +178,7 @@ def _dfs_search(
         suffix[i] = suffix[i + 1] + weights[i]
     # dying[i]: the prime powers p^v_p(L) whose prime first goes missing from order[i:]
     dying: list[list[int]] = [[] for _ in range(k + 1)]
-    last = {p: i + 1 for i, n in enumerate(order) for p in factors[n]}
+    last = {p: i + 1 for i, n in enumerate(order) for p, _ in factors[n]}
     for p, i in last.items():
         dying[i].append(_prime_power_part(L, p))
 
@@ -209,7 +209,7 @@ def _dfs_search(
     return None
 
 
-def _grouped_order(elems: Sequence[int], factors: dict[int, list[int]]) -> list[int]:
+def _grouped_order(elems: Sequence[int], factors: dict[int, Factorization]) -> list[int]:
     """Order elements so that all multiples of each largest prime sit together.
 
     Exhaustion proofs resolve one prime at a time: once the last element
@@ -217,11 +217,11 @@ def _grouped_order(elems: Sequence[int], factors: dict[int, list[int]]) -> list[
     deficit still involves that prime is cut.  Grouping makes those spans
     as short as possible.
     """
-    return sorted(elems, key=lambda n: (-factors[n][-1] if n > 1 else -1, n))
+    return sorted(elems, key=lambda n: (-factors[n][-1][0] if n > 1 else -1, n))
 
 
 def _find_dfs(
-    elems: Sequence[int], L: int, T: int, cfg: SolverConfig, nodes: _Nodes, factors: dict[int, list[int]]
+    elems: Sequence[int], L: int, T: int, cfg: SolverConfig, nodes: _Nodes, factors: dict[int, Factorization]
 ) -> SolverResult:
     witness = _dfs_search(_grouped_order(elems, factors), L, T, factors, nodes)
     if witness is None:
@@ -522,10 +522,10 @@ def find_subset(A: SetLike, target, cfg: SolverConfig = SolverConfig()) -> Solve
     if target < 0:
         raise DomainError("target must be >= 0")
     elems = list(A.elements)
-    strategy, factorizations = cfg.strategy, None
+    strategy, factors = cfg.strategy, None
     if strategy == Strategy.AUTO:
-        factorizations = factorize_all(elems)
-        elems = list(_reduce(elems, target, factorizations).core.elements)
+        factors = factorize_all(elems)
+        elems = list(_reduce(elems, target, factors).core.elements)
     scaled = _scaled(elems, target)
     if scaled is None:
         return SolverResult(SolverStatus.EXHAUSTED_NONE, None, 0)
@@ -538,10 +538,8 @@ def find_subset(A: SetLike, target, cfg: SolverConfig = SolverConfig()) -> Solve
             return _find_meet(elems, weights, T, cfg, nodes)
         if strategy == Strategy.RESIDUE_DP:
             return _find_residue(elems, weights, T, nodes)
-        if factorizations is None:
-            factors = {n: prime_factors(n) for n in elems}
-        else:
-            factors = {n: [p for p, _ in factorizations[n]] for n in elems}
+        if factors is None:
+            factors = factorize_all(elems)
         return _find_dfs(elems, L, T, cfg, nodes, factors)
     except _BudgetExhausted:
         return SolverResult(SolverStatus.BUDGET_EXCEEDED, None, nodes.count)

@@ -79,6 +79,14 @@ def test_prune_to_window_preconditions(small_table):
         prune_to_window([100], Fraction(1, 100), Fraction(1, 100), 100, small_table)
 
 
+def test_pruning_rejects_element_one(small_table):
+    # 1 has no prime-power divisors, so it belongs to no class
+    with pytest.raises(DomainError):
+        prune_ppower([1, 2], 0, small_table)
+    with pytest.raises(DomainError):
+        prune_to_window([1, 2], 1, 0, 1, small_table)
+
+
 def test_prune_to_window_infeasible(small_table):
     # q=4 has mass 1/25 < 2*theta, the pre-prune removes everything
     with pytest.raises(InfeasibleError):

@@ -112,3 +112,7 @@ def test_is_prime_power():
     assert not is_prime_power(1)
     assert not is_prime_power(6)
     assert not is_prime_power(12)
+    for q in range(10_001):
+        assert is_prime_power(q) == (q >= 2 and len(trial_factorize(q)) == 1), q
+    assert is_prime_power(10007**3)
+    assert not is_prime_power(10007 * 10009)

@@ -22,7 +22,7 @@ from egyfrac import (
     reduce_to_core,
 )
 from egyfrac import solver
-from egyfrac.sieve import prime_factors
+from egyfrac.sieve import factorize_all
 from helpers import (
     ReferenceBudgetExhausted,
     brute_count_integral,
@@ -414,7 +414,7 @@ def test_dfs_kernel_matches_fraction_reference_in_ascending_order():
         except ReferenceBudgetExhausted:
             expected = "budget"
         nodes = solver._Nodes(budget)
-        factors = {n: prime_factors(n) for n in A}
+        factors = factorize_all(list(A))
         try:
             got = solver._dfs_search(A, L, T, factors, nodes)
         except solver._BudgetExhausted:
