@@ -25,16 +25,19 @@ and the sums and the division by L add 3 2^m u: 18 covers the resulting
 17 m 2^m u with its second-order terms.  That 3 2^m u term needs every sum
 exactly rounded, and ``_exact_sum`` returns exactly what math.fsum does.
 
-The arc diagnostics hold every frequency in arrays, tuples and a dict, about
-_ARC_BYTES_PER_FREQ bytes each; arc_classify refuses an lcm whose estimate
-passes _ARC_BYTE_BUDGET before it allocates anything.
+The arc diagnostics hold the frequencies, the major-arc mask and the weights
+as three numpy arrays, 17 bytes a frequency, and build the tuples and the
+dict of their public accessors only when those are read.  arc_classify peaks
+at about 50 bytes a frequency (tracemalloc) and refuses an lcm whose estimate,
+_ARC_BYTES_PER_FREQ bytes each, passes _ARC_BYTE_BUDGET before it allocates
+anything.  Their JSON lists each arc as an inclusive run [lo, hi] of h.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,8 +47,8 @@ from .rational import IntSet, SetLike, as_intset, lcm_set
 DEFAULT_LCM_BOUND = 10**6
 _CHUNK = 1 << 17
 _ERROR_C = 18  # the constant of the a-priori error bound, derived in the docstring
-_ARC_BYTES_PER_FREQ = 240  # peak tracemalloc bytes per frequency: 232 at L = 720720
-_ARC_BYTE_BUDGET = 2**30  # admits L up to 4.4 million, past DEFAULT_LCM_BOUND
+_ARC_BYTES_PER_FREQ = 112  # peak tracemalloc bytes per frequency: 49 to 52 from L = 2520 to 720720
+_ARC_BYTE_BUDGET = 2**30  # admits L up to 9.6 million, past DEFAULT_LCM_BOUND
 _WEIGHT_CAP = 10_000  # to_json_dict lists weights up to this many frequencies, summarizes past it
 
 
@@ -54,35 +57,51 @@ class ArcDiagnostics:
     """Full frequency classification for one (A, k, K) instance.
 
     Frequencies run over J = (-L/2, L/2] excluding 0; h is major when
-    |h - t*L/k| <= K/(2k) for some integer t, otherwise minor.  weights
-    maps every h in J to C(A; h).
+    |h - t*L/k| <= K/(2k) for some integer t, otherwise minor.  hs is J in
+    ascending order, major_mask marks its major frequencies and weight_array
+    holds C(A; h) for each; major_hs, minor_hs and weights give them as
+    Python tuples and a dict, built on first access.
     """
 
     L: int
     k: int
     K: float
-    major_hs: tuple[int, ...]
-    minor_hs: tuple[int, ...]
-    weights: Mapping[int, float]
     fourier_value: float
     rounded: int
     minor_weight_sum: float
+    hs: np.ndarray = field(repr=False, compare=False)
+    major_mask: np.ndarray = field(repr=False, compare=False)
+    weight_array: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def major_hs(self) -> tuple[int, ...]:
+        return tuple(self.hs[self.major_mask].tolist())
+
+    @cached_property
+    def minor_hs(self) -> tuple[int, ...]:
+        return tuple(self.hs[~self.major_mask].tolist())
+
+    @cached_property
+    def weights(self) -> dict[int, float]:
+        """C(A; h) for every h in J."""
+        return dict(zip(self.hs.tolist(), self.weight_array.tolist()))
 
     def to_json_dict(self) -> dict:
+        start = _h_range(self.L).start
         d = {
             "L": self.L,
             "k": self.k,
             "K": self.K,
-            "major_hs": list(self.major_hs),
-            "minor_hs": list(self.minor_hs),
+            "major_arcs": _runs(self.major_mask, start),
+            "minor_arcs": _runs(~self.major_mask, start),
             "fourier_value": self.fourier_value,
             "rounded": self.rounded,
             "minor_weight_sum": self.minor_weight_sum,
         }
-        if len(self.weights) <= _WEIGHT_CAP:
+        ws = self.weight_array
+        if len(ws) <= _WEIGHT_CAP:
             d["weights"] = {str(h): w for h, w in self.weights.items()}
         else:
-            ws = np.fromiter(self.weights.values(), dtype=float)
             d["weights_summary"] = {
                 "count": len(ws),
                 "max": float(ws.max()),
@@ -95,6 +114,16 @@ class ArcDiagnostics:
 def _h_range(L: int) -> range:
     """The frequencies h in (-L/2, L/2]."""
     return range(-((L - 1) // 2), L // 2 + 1)
+
+
+def _runs(mask: np.ndarray, start: int) -> list[list[int]]:
+    """The maximal runs [lo, hi] of consecutive h in J where mask is set, ascending.
+
+    mask runs over J = start .. L/2 without 0.  A False put in 0's place splits
+    a run that would hold 0, and np.diff then marks every run's two edges."""
+    full = np.insert(mask, -start, False)  # over h = start .. L/2, 0 included
+    edges = np.flatnonzero(np.diff(full, prepend=False, append=False)) + start
+    return np.column_stack((edges[0::2], edges[1::2] - 1)).tolist()
 
 
 def _exact_sum(x: np.ndarray) -> float:
@@ -271,24 +300,27 @@ def arc_classify(
         )
     value, rounded = fourier_count(A, k, lcm_bound=lcm_bound, threads=threads)
     h = _h_range(L)
-    hs = np.arange(h.start, h.stop, dtype=np.int64)
-    hs = hs[hs != 0]
-    kh = k * hs
-    # distance from k*h to the nearest multiple of L, exactly in integers
-    r = kh % L
-    major_mask = 2 * np.minimum(r, L - r) <= K
+    hs = np.arange(h.start, h.stop - 1, dtype=np.int64)
+    hs[-h.start :] += 1  # J: h = 0 left out
+    # k*h mod L, exactly in integers; 2 min(r, L - r) <= K iff min(r, L - r) <= floor(K) // 2
+    r = hs * k
+    r %= L
+    reach = min(math.floor(K) // 2, L)
+    major_mask = r <= reach
+    major_mask |= r >= L - reach
+    del r
     num, den = _phase_tables(A)
     num = np.minimum(num, den - num)
     cosines = np.where(2 * num == den, 0.0, np.abs(np.cos(np.pi * num / den)))  # |cos(pi j / n)|, 0 where 2j = n
-    weights_arr = np.delete(_gathered_product(cosines, A, k, h.start, L), -h.start)  # h = 0 left out
+    weight_array = np.delete(_gathered_product(cosines, A, k, h.start, L), -h.start)  # h = 0 left out
     return ArcDiagnostics(
         L=L,
         k=k,
         K=K,
-        major_hs=tuple(hs[major_mask].tolist()),
-        minor_hs=tuple(hs[~major_mask].tolist()),
-        weights=dict(zip(hs.tolist(), weights_arr.tolist())),
         fourier_value=value,
         rounded=rounded,
-        minor_weight_sum=_exact_sum(weights_arr[~major_mask]),
+        minor_weight_sum=_exact_sum(weight_array[~major_mask]),
+        hs=hs,
+        major_mask=major_mask,
+        weight_array=weight_array,
     )

@@ -73,6 +73,20 @@ def test_fourier_consistent(set_file, capsys):
     assert payload["L"] == 60
 
 
+def test_fourier_writes_arcs_as_runs(tmp_path, capsys):
+    # one h a line, the 13 smallest divisors of 27720 wrote some 27,700 lines
+    f = tmp_path / "d27720.txt"
+    f.write_text("\n".join(map(str, divisors_above_one(27720)[:13])) + "\n")
+    assert main(["fourier", str(f), "--k", "1"]) == 0
+    text = capsys.readouterr().out
+    assert text.count("\n") < 100
+    payload = json.loads(text)
+    assert payload["L"] == 27720 and payload["consistent"] is True
+    runs = payload["major_arcs"] + payload["minor_arcs"]
+    assert sum(hi - lo + 1 for lo, hi in runs) == 27720 - 1
+    assert payload["weights_summary"]["count"] == 27720 - 1
+
+
 def test_fourier_resource_exit(tmp_path, capsys):
     f = tmp_path / "primes.txt"
     f.write_text("\n".join(map(str, [101, 103, 107, 109, 113, 127])) + "\n")

@@ -349,3 +349,55 @@ def test_major_arc_contribution_nonnegative():
                 prod *= 1 + complex(math.cos(2 * math.pi * theta), math.sin(2 * math.pi * theta))
             total += prod.real
         assert total >= -1e-9 * (2 ** len(A)), (A, k, total)
+
+
+def _assert_arc_runs(d):
+    """The JSON runs expand to major_hs and minor_hs, are maximal and never hold 0."""
+    payload = d.to_json_dict()
+    for key, hs in (("major_arcs", d.major_hs), ("minor_arcs", d.minor_hs)):
+        runs = payload[key]
+        assert tuple(h for lo, hi in runs for h in range(lo, hi + 1)) == hs, (key, runs)
+        assert all(lo <= hi and not lo <= 0 <= hi for lo, hi in runs), (key, runs)
+        for (_, hi), (lo, _) in zip(runs, runs[1:]):
+            assert hi + 1 < lo or hi == -1 and lo == 1, (key, runs)  # disjoint, ascending, apart or split at 0
+    assert "major_hs" not in payload and "minor_hs" not in payload
+    return payload["major_arcs"], payload["minor_arcs"]
+
+
+def test_arc_runs_examples():
+    assert _assert_arc_runs(arc_classify([], 1, 1.0)) == ([], [])
+    assert _assert_arc_runs(arc_classify([2], 1, 2)) == ([[1, 1]], [])
+    assert _assert_arc_runs(arc_classify([2], 1, 0)) == ([], [[1, 1]])
+    # K = 0: no major arc
+    assert _assert_arc_runs(arc_classify([2, 3, 6], 1, 0)) == ([], [[-2, -1], [1, 3]])
+    # K = 6 at L = 12: the major arc |h| <= 3 around 0 is split at 0
+    assert _assert_arc_runs(arc_classify([3, 4, 6, 12], 1, 6)) == ([[-3, -1], [1, 3]], [[-5, -4], [4, 6]])
+    # K past L: every frequency major
+    assert _assert_arc_runs(arc_classify([3, 4, 6, 12], 1, 100.0)) == ([[-5, -1], [1, 6]], [])
+    # k = 2 at L = 12: the arc around L/2 = 6 spans both edges of J
+    assert _assert_arc_runs(arc_classify([3, 4, 6, 12], 2, 4)) == (
+        [[-5, -5], [-1, -1], [1, 1], [5, 6]], [[-4, -2], [2, 4]])
+    # k = 3 at L = 12: arcs around 0, +-4, and none at the edge 6, where 3h = 18 is 6 from 12 and 24
+    assert _assert_arc_runs(arc_classify([3, 4, 6, 12], 3, 6)) == (
+        [[-5, -3], [-1, -1], [1, 1], [3, 5]], [[-2, -2], [2, 2], [6, 6]])
+
+
+def test_arc_runs_on_random_sets():
+    rng = random.Random(48)
+    for _ in range(30):
+        A = random_lcm_capped_set(rng, 2, 40, 8, 5000)
+        d = arc_classify(A, rng.choice([1, 2, 3]), rng.choice([0.0, 1.0, 2.5, 7.0, 1e6]))
+        major, minor = _assert_arc_runs(d)
+        assert sum(hi - lo + 1 for lo, hi in major + minor) == d.L - 1
+
+
+def test_arc_diagnostics_hold_arrays_and_build_accessors_on_demand():
+    d = arc_classify([2, 3, 6], 1, 2)
+    assert isinstance(d.hs, np.ndarray) and isinstance(d.major_mask, np.ndarray)
+    assert isinstance(d.weight_array, np.ndarray)
+    assert "major_hs" not in vars(d) and "weights" not in vars(d)
+    assert d.major_hs == (-1, 1) and d.minor_hs == (-2, 2, 3)
+    assert all(type(h) is int for h in d.major_hs + d.minor_hs)
+    assert d.weights == dict(zip(d.hs.tolist(), d.weight_array.tolist()))
+    assert d.major_hs is d.major_hs and d.weights is d.weights  # built once
+    assert "hs=" not in repr(d)

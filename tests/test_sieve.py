@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -116,3 +117,16 @@ def test_is_prime_power():
         assert is_prime_power(q) == (q >= 2 and len(trial_factorize(q)) == 1), q
     assert is_prime_power(10007**3)
     assert not is_prime_power(10007 * 10009)
+
+
+@pytest.mark.parametrize("count,ratio", [(512, 64), (512, 176), (512, 177), (1024, 64), (1024, 256), (4096, 500)])
+def test_factorize_all_sieves_sets_up_to_the_measured_crossover(monkeypatch, count, ratio):
+    # the 8 * count bound sent these sets to trial division, though the sieve is
+    # faster on them; 8 * isqrt(count) = 176 times the count is the new edge at 512
+    rng = random.Random(count * ratio)
+    elems = rng.sample(range(2, ratio * count), count - 1) + [ratio * count]
+    sieved = []
+    build = egyfrac.sieve.build_table
+    monkeypatch.setattr(egyfrac.sieve, "build_table", lambda N: sieved.append(N) or build(N))
+    assert egyfrac.sieve.factorize_all(elems) == {n: egyfrac.sieve._trial_factorize(n) for n in elems}
+    assert sieved == ([ratio * count] if ratio <= 8 * math.isqrt(count) else [])
