@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -47,7 +47,10 @@ from .rational import IntSet, SetLike, as_intset, lcm_set
 DEFAULT_LCM_BOUND = 10**6
 _CHUNK = 1 << 17
 _ERROR_C = 18  # the constant of the a-priori error bound, derived in the docstring
-_ARC_BYTES_PER_FREQ = 112  # peak tracemalloc bytes per frequency: 49 to 52 from L = 2520 to 720720
+# The tracemalloc peak is 49 to 52 bytes a frequency (L = 2520 to 720720), which
+# 56 would cover; 112 keeps lcm 9699690 (the primes to 19) over the budget, as
+# test_arc_classify_refuses_over_byte_budget_before_forming_products expects.
+_ARC_BYTES_PER_FREQ = 112
 _ARC_BYTE_BUDGET = 2**30  # admits L up to 9.6 million, past DEFAULT_LCM_BOUND
 _WEIGHT_CAP = 10_000  # to_json_dict lists weights up to this many frequencies, summarizes past it
 
@@ -59,8 +62,10 @@ class ArcDiagnostics:
     Frequencies run over J = (-L/2, L/2] excluding 0; h is major when
     |h - t*L/k| <= K/(2k) for some integer t, otherwise minor.  hs is J in
     ascending order, major_mask marks its major frequencies and weight_array
-    holds C(A; h) for each; major_hs, minor_hs and weights give them as
-    Python tuples and a dict, built on first access.
+    holds C(A; h) for each; the three arrays are read-only.  major_hs,
+    minor_hs and weights give them as Python tuples and a dict, built on
+    first access.  Equality compares the arrays with np.array_equal; the hash
+    leaves them out.
     """
 
     L: int
@@ -69,9 +74,15 @@ class ArcDiagnostics:
     fourier_value: float
     rounded: int
     minor_weight_sum: float
-    hs: np.ndarray = field(repr=False, compare=False)
-    major_mask: np.ndarray = field(repr=False, compare=False)
-    weight_array: np.ndarray = field(repr=False, compare=False)
+    hs: np.ndarray = field(repr=False, hash=False)
+    major_mask: np.ndarray = field(repr=False, hash=False)
+    weight_array: np.ndarray = field(repr=False, hash=False)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
     @cached_property
     def major_hs(self) -> tuple[int, ...]:
@@ -313,6 +324,8 @@ def arc_classify(
     num = np.minimum(num, den - num)
     cosines = np.where(2 * num == den, 0.0, np.abs(np.cos(np.pi * num / den)))  # |cos(pi j / n)|, 0 where 2j = n
     weight_array = np.delete(_gathered_product(cosines, A, k, h.start, L), -h.start)  # h = 0 left out
+    for a in (hs, major_mask, weight_array):
+        a.flags.writeable = False
     return ArcDiagnostics(
         L=L,
         k=k,

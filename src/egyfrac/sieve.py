@@ -1,7 +1,6 @@
 """Smallest-prime-factor sieve and the factorization queries built on it."""
 from __future__ import annotations
 
-import math
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -136,23 +135,20 @@ def factorize_all(elems: Sequence[int]) -> dict[int, Factorization]:
     """The factorization of each of the distinct positive integers ``elems``
     (1 maps to []).
 
-    A sieve up to m = max(elems) has a fixed cost of about 0.1 ms and then
-    grows with m, while trial division costs 1 to 10 microseconds an element
-    and grows with sqrt(m), so the ratio m / count at which the two are even
-    grows with the count.  The sieve is used for 256 or more elements with m
-    at most 8 sqrt(count) times their count (and within _MAX_ENTRIES).  It
-    peels the smallest prime factor off every element at once until each is
-    1.  (Measured on a 2-vCPU Xeon, best of 5 to 41, on random sets with m
-    from 4 to 2048 times their count: the two were even at 64 to 128 times
-    for 256 elements, 128 to 256 for 512, 256 to 512 for 1,024, about 1,024
-    for 4,096, and 1,024 to 2,048 for 8,192 and 16,384.  At 128 elements
-    trial division was faster at every ratio.  On the Pomerance sets, of
-    density 0.25 to 0.4, the sieve was faster from N = 1250 on, by about 4
-    times at N = 10^5.)
+    A sieve up to m = max(elems) has a fixed cost of about 0.1 ms, and
+    trial division 1 to 10 microseconds an element, so the sieve is used for
+    256 or more elements with m at most 8 times their count (and within
+    _MAX_ENTRIES).  It peels the smallest prime factor off every element at
+    once until each is 1.  (Measured on a 2-vCPU Xeon, best of 21, on
+    random sets with m from 2 to 64 times their count: at 128 elements
+    trial division took 0.08 to 0.16 ms and the sieve 0.14 to 0.24 ms; at
+    256 the two were even, 0.19 to 0.41 ms and 0.20 to 0.48 ms; at 512 the
+    sieve was faster, 0.38 to 0.69 ms against 0.44 to 1.0 ms.  On the
+    Pomerance sets, of density 0.25 to 0.4, the sieve was faster from
+    N = 1250 on, by about 4 times at N = 10^5.)
     """
     top = max(elems, default=1)
-    count = len(elems)
-    if count < 256 or not top <= min(8 * count * math.isqrt(count), _MAX_ENTRIES - 1):
+    if len(elems) < 256 or not top <= min(8 * len(elems), _MAX_ENTRIES - 1):
         return {n: _trial_factorize(n) for n in elems}
     rows, primes = map(np.concatenate, zip(*build_table(top).peel(np.array(elems, dtype=np.int64))))
     # one key per (element, prime) pair; its count is the prime's exponent

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -401,3 +402,15 @@ def test_arc_diagnostics_hold_arrays_and_build_accessors_on_demand():
     assert d.weights == dict(zip(d.hs.tolist(), d.weight_array.tolist()))
     assert d.major_hs is d.major_hs and d.weights is d.weights  # built once
     assert "hs=" not in repr(d)
+
+
+def test_arc_diagnostics_arrays_are_read_only_and_compared():
+    d = arc_classify([2, 3, 6], 1, 2)
+    for a in (d.hs, d.major_mask, d.weight_array):
+        with pytest.raises(ValueError):
+            a[0] = a[1]
+    same = arc_classify([2, 3, 6], 1, 2)
+    assert d == same and hash(d) == hash(same)
+    other_arcs = dataclasses.replace(d, major_mask=~d.major_mask)
+    other_weights = dataclasses.replace(d, weight_array=d.weight_array * 0.5)
+    assert d != other_arcs and d != other_weights and d != other_arcs.to_json_dict()

@@ -119,14 +119,14 @@ def test_is_prime_power():
     assert not is_prime_power(10007 * 10009)
 
 
-@pytest.mark.parametrize("count,ratio", [(512, 64), (512, 176), (512, 177), (1024, 64), (1024, 256), (4096, 500)])
-def test_factorize_all_sieves_sets_up_to_the_measured_crossover(monkeypatch, count, ratio):
-    # the 8 * count bound sent these sets to trial division, though the sieve is
-    # faster on them; 8 * isqrt(count) = 176 times the count is the new edge at 512
+@pytest.mark.parametrize("count,ratio", [(255, 8), (256, 8), (256, 9), (1024, 8), (1024, 64)])
+def test_factorize_all_sieves_at_most_eight_times_the_count(monkeypatch, count, ratio):
+    # both routes give the same factorizations; only 256 or more elements with a
+    # max of at most 8 times their count build a table
     rng = random.Random(count * ratio)
     elems = rng.sample(range(2, ratio * count), count - 1) + [ratio * count]
     sieved = []
     build = egyfrac.sieve.build_table
     monkeypatch.setattr(egyfrac.sieve, "build_table", lambda N: sieved.append(N) or build(N))
     assert egyfrac.sieve.factorize_all(elems) == {n: egyfrac.sieve._trial_factorize(n) for n in elems}
-    assert sieved == ([ratio * count] if ratio <= 8 * math.isqrt(count) else [])
+    assert sieved == ([ratio * count] if count >= 256 and ratio <= 8 else [])
