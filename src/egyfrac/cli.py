@@ -33,12 +33,12 @@ from .errors import (
     NumericalInstabilityError,
     ResourceLimitError,
 )
-from .rational import IntSet, format_rational, parse_rational, recip_sum, lcm_set
+from .rational import IntSet, format_rational, parse_rational, recip_sum
 from .sieve import build_table
 from .decomposition import build_decomposition
 from .filters import has_divisor_pair, mertens_q_sum, omega_in_range, passes_smoothness, sieve_survivors
 from .solver import SolverConfig, SolverStatus, Strategy, count_integral, find_subset, lambda_exact
-from .fourier import DEFAULT_LCM_BOUND, arc_classify
+from .fourier import arc_classify
 from .pruning import prune_to_window
 from .pomerance import _members, pomerance_set, verify_report, verify_solution_free
 
@@ -121,7 +121,7 @@ def cmd_fourier(args) -> int:
     width = args.arc_width
     if width is None:
         width = (min(A) / 2) if len(A) else 1.0
-    diag = arc_classify(A, args.k, width, lcm_bound=args.lcm_bound, threads=args.threads)
+    diag = arc_classify(A, args.k, width, threads=args.threads)
     exact = count_integral(A, args.k)
     payload = diag.to_json_dict()
     payload["count_integral"] = exact
@@ -247,8 +247,8 @@ def _experiment_prune_demo(args):
     """Filter a range, then cascade window prunes and arc diagnostics.
 
     For each admissible denominator d the current pool is pruned into the
-    window [2/d - 1/lo, 2/d) and handed to the orthogonality counter when
-    its lcm stays within bounds.
+    window [2/d - 1/lo, 2/d) and handed to the arc diagnostics; a stage they
+    refuse is recorded as skipped.
     """
     if args.y <= 0:
         raise DomainError(f"--y must be positive, got {args.y}")
@@ -288,22 +288,16 @@ def _experiment_prune_demo(args):
         current = trace.final
         stage["outcome"] = "pruned"
         stage["trace"] = trace.to_json_dict()
-        L = lcm_set(current)
-        if 0 < L <= args.lcm_bound and len(current) > 0:
-            try:
-                diag = arc_classify(
-                    current, d, (args.lo / 2), lcm_bound=args.lcm_bound, threads=args.threads
-                )
-            except (NumericalInstabilityError, ResourceLimitError) as exc:
-                stage["fourier"] = f"skipped: {exc}"
-            else:
-                stage["fourier"] = {
-                    "rounded": diag.rounded,
-                    "consistent": diag.rounded == count_integral(current, d),
-                    "minor_weight_sum": diag.minor_weight_sum,
-                }
+        try:
+            diag = arc_classify(current, d, args.lo / 2, threads=args.threads)
+        except (NumericalInstabilityError, ResourceLimitError) as exc:
+            stage["fourier"] = f"skipped: {exc}"
         else:
-            stage["fourier"] = f"skipped: lcm {L} exceeds bound {args.lcm_bound}"
+            stage["fourier"] = {
+                "rounded": diag.rounded,
+                "consistent": diag.rounded == count_integral(current, d),
+                "minor_weight_sum": diag.minor_weight_sum,
+            }
         stages.append(stage)
     params = {"lo": args.lo, "hi": args.hi, "y": args.y, "z": args.z, "theta": args.theta}
     payload = {**params, "pool_size": len(pool), "stages": stages}
@@ -352,7 +346,7 @@ def _finite_float(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    # a bound or thread count below 1 would refuse every set or run no worker
+    # a thread count below 1 would run no worker
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
@@ -383,7 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("set_file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--arc-width", type=_finite_float, default=None, help="major-arc radius K (default min(A)/2)")
-    p.add_argument("--lcm-bound", type=_positive_int, default=DEFAULT_LCM_BOUND)
     p.add_argument("--out")
     p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(func=cmd_fourier)
@@ -412,7 +405,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smooth-bound", type=_finite_float, default=None)
     p.add_argument("--omega-lo", type=_finite_float, default=None)
     p.add_argument("--omega-hi", type=_finite_float, default=None)
-    p.add_argument("--lcm-bound", type=_positive_int, default=DEFAULT_LCM_BOUND)
     p.set_defaults(func=cmd_experiment)
 
     return parser
@@ -429,3 +421,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

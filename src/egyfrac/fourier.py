@@ -27,10 +27,10 @@ exactly rounded, and ``_exact_sum`` returns exactly what math.fsum does.
 
 The arc diagnostics hold the frequencies, the major-arc mask and the weights
 as three numpy arrays, 17 bytes a frequency, and build the tuples and the
-dict of their public accessors only when those are read.  arc_classify peaks
-at about 50 bytes a frequency (tracemalloc) and refuses an lcm whose estimate,
-_ARC_BYTES_PER_FREQ bytes each, passes _ARC_BYTE_BUDGET before it allocates
-anything.  Their JSON lists each arc as an inclusive run [lo, hi] of h.
+dict of their public accessors only when those are read; their JSON lists each
+arc as an inclusive run [lo, hi] of h.  arc_classify peaks at about 49 bytes a
+frequency (tracemalloc), so _LCM_BOUND = 10^6, which every entry point checks
+before it builds any table or array, holds it near 50 MB.
 """
 from __future__ import annotations
 
@@ -44,14 +44,9 @@ import numpy as np
 from .errors import DomainError, NumericalInstabilityError, ResourceLimitError
 from .rational import IntSet, SetLike, as_intset, lcm_set
 
-DEFAULT_LCM_BOUND = 10**6
+_LCM_BOUND = 10**6
 _CHUNK = 1 << 17
 _ERROR_C = 18  # the constant of the a-priori error bound, derived in the docstring
-# The tracemalloc peak is 49 to 52 bytes a frequency (L = 2520 to 720720), which
-# 56 would cover; 112 keeps lcm 9699690 (the primes to 19) over the budget, as
-# test_arc_classify_refuses_over_byte_budget_before_forming_products expects.
-_ARC_BYTES_PER_FREQ = 112
-_ARC_BYTE_BUDGET = 2**30  # admits L up to 9.6 million, past DEFAULT_LCM_BOUND
 _WEIGHT_CAP = 10_000  # to_json_dict lists weights up to this many frequencies, summarizes past it
 
 
@@ -174,6 +169,14 @@ def _exact_sum(x: np.ndarray) -> float:
     return math.fsum(x.tolist())
 
 
+def _checked_lcm(A: IntSet) -> int:
+    """lcm(A), refused past _LCM_BOUND before any table or array is built."""
+    L = lcm_set(A)
+    if L > _LCM_BOUND:
+        raise ResourceLimitError(f"lcm {L} exceeds bound {_LCM_BOUND}")
+    return L
+
+
 def _phase_tables(A: IntSet) -> tuple[np.ndarray, np.ndarray]:
     """j and n of every table entry: j = 0 .. n - 1 for each n in A, stacked in A's order."""
     ns = np.fromiter(A, dtype=np.int64, count=len(A))
@@ -215,7 +218,6 @@ def orthogonality_sum(
     A: SetLike,
     k: int,
     *,
-    lcm_bound: int = DEFAULT_LCM_BOUND,
     threads: int = 1,
 ) -> tuple[float, float, int]:
     """Evaluate the orthogonality sum; returns (real part, imag part, L).
@@ -227,9 +229,7 @@ def orthogonality_sum(
     A = as_intset(A)
     if k < 1:
         raise DomainError("k must be a positive integer")
-    L = lcm_set(A)
-    if L > lcm_bound:
-        raise ResourceLimitError(f"lcm {L} exceeds the configured bound {lcm_bound}")
+    L = _checked_lcm(A)
     if k * L > 2**62:
         raise ResourceLimitError("k * lcm too large for exact 64-bit phase reduction")
     num, den = _phase_tables(A)
@@ -253,7 +253,6 @@ def fourier_count(
     A: SetLike,
     k: int,
     *,
-    lcm_bound: int = DEFAULT_LCM_BOUND,
     threads: int = 1,
 ) -> tuple[float, int]:
     """Count subsets with integral k * recip_sum via the orthogonality sum.
@@ -266,7 +265,7 @@ def fourier_count(
     m = len(A)
     if _ERROR_C * m * 2**m >= 2**51:  # the bound reaches 1/4 = 2^51 u
         raise NumericalInstabilityError(f"{m} elements: float error bound {_ERROR_C}*{m}*2^({m}-53) >= 1/4")
-    re, im, L = orthogonality_sum(A, k, lcm_bound=lcm_bound, threads=threads)
+    re, im, L = orthogonality_sum(A, k, threads=threads)
     value = re / L
     rounded = round(value)
     if abs(value - rounded) > 0.25 or abs(im / L) > 0.25:
@@ -292,24 +291,18 @@ def arc_classify(
     k: int,
     K: float,
     *,
-    lcm_bound: int = DEFAULT_LCM_BOUND,
     threads: int = 1,
 ) -> ArcDiagnostics:
     """Classify every nonzero frequency as major or minor and weigh it.
 
-    Raises ResourceLimitError before any work when the lcm's estimated
-    memory passes the module's byte budget.
+    Raises ResourceLimitError past the lcm bound before fourier_count's
+    refusal of a set too large to certify, and before any work.
     """
     A = as_intset(A)
     if not 0 <= K < math.inf:  # NaN would make every frequency minor, inf every one major and K non-JSON
         raise DomainError(f"arc radius K must be finite and >= 0, got {K!r}")
-    L = lcm_set(A)
-    if _ARC_BYTES_PER_FREQ * L > _ARC_BYTE_BUDGET:
-        raise ResourceLimitError(
-            f"arc diagnostics at lcm {L} need about {_ARC_BYTES_PER_FREQ * L} bytes, "
-            f"over the {_ARC_BYTE_BUDGET}-byte budget"
-        )
-    value, rounded = fourier_count(A, k, lcm_bound=lcm_bound, threads=threads)
+    L = _checked_lcm(A)
+    value, rounded = fourier_count(A, k, threads=threads)
     h = _h_range(L)
     hs = np.arange(h.start, h.stop - 1, dtype=np.int64)
     hs[-h.start :] += 1  # J: h = 0 left out

@@ -2,7 +2,10 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -219,12 +222,13 @@ def test_experiment_prune_demo(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_experiment_prune_demo_records_refused_stage(tmp_path, capsys):
+def test_experiment_prune_demo_records_refused_stage(tmp_path, monkeypatch, capsys):
     # every pruned stage keeps 42 or more elements, beyond what the float sum
     # can certify, and the huge lcm bound lets each one reach the counter
+    monkeypatch.setattr(egyfrac.fourier, "_LCM_BOUND", 10**30)
     rc = main(
         ["experiment", "prune-demo", "--lo", "4", "--hi", "150", "--y", "1", "--z", "12",
-         "--lcm-bound", str(10**30), "--out-dir", str(tmp_path)]
+         "--out-dir", str(tmp_path)]
     )
     assert rc == 0
     payload = json.loads((tmp_path / "prune_demo_4_150.json").read_text())
@@ -232,26 +236,38 @@ def test_experiment_prune_demo_records_refused_stage(tmp_path, capsys):
     assert pruned
     for st in pruned:
         assert len(st["trace"]["final"]) >= 42
-        assert st["fourier"].startswith("skipped: "), st["fourier"]
+        assert st["fourier"].startswith("skipped: ") and "float error bound" in st["fourier"], st["fourier"]
     capsys.readouterr()
 
 
 def test_experiment_prune_demo_skips_stages_over_the_memory_budget(tmp_path, monkeypatch, capsys):
-    # the three pruned stages (36, 28 and 23 elements) have lcm 151351200, whose arc
-    # diagnostics would take some 36 GB: each must be refused before any product
+    # the three pruned stages (36, 28 and 23 elements) have lcm 151351200, past the lcm
+    # bound (their arc diagnostics would take some 7.4 GB): each must be refused before any product
     def kernel_called(*args, **kwargs):
-        raise AssertionError("the product kernel ran on an lcm over the byte budget")
+        raise AssertionError("the product kernel ran on an lcm over the bound")
 
     monkeypatch.setattr(egyfrac.fourier, "_gathered_product", kernel_called)
     rc = main(
-        ["experiment", "prune-demo", "--lo", "4", "--hi", "60", "--y", "1", "--z", "12",
-         "--lcm-bound", str(10**40), "--out-dir", str(tmp_path)]
+        ["experiment", "prune-demo", "--lo", "4", "--hi", "60", "--y", "1", "--z", "12", "--out-dir", str(tmp_path)]
     )
     assert rc == 0
     stages = json.loads((tmp_path / "prune_demo_4_60.json").read_text())["stages"]
     assert [len(st["trace"]["final"]) for st in stages] == [36, 28, 23]
     for st in stages:
-        assert st["fourier"].startswith("skipped: arc diagnostics at lcm 151351200"), st["fourier"]
+        assert st["fourier"] == "skipped: lcm 151351200 exceeds bound 1000000", st["fourier"]
+    capsys.readouterr()
+
+
+def test_experiment_prune_demo_runs_the_diagnostics_on_an_emptied_pool(tmp_path, capsys):
+    # stage d = 12 prunes the pool [6] to []: lcm 1, one subset (the empty one) has
+    # integral sum; it used to be reported as "skipped: lcm 1 exceeds bound 1000000"
+    rc = main(["experiment", "prune-demo", "--lo", "4", "--hi", "6", "--y", "1", "--z", "200",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    stages = json.loads((tmp_path / "prune_demo_4_6.json").read_text())["stages"]
+    emptied = [st for st in stages if st["outcome"] == "pruned" and not st["trace"]["final"]]
+    assert [st["d"] for st in emptied] == [12]
+    assert emptied[0]["fourier"] == {"consistent": True, "minor_weight_sum": 0.0, "rounded": 1}
     capsys.readouterr()
 
 
@@ -342,8 +358,6 @@ def test_solve_reproducible_json(set_file, tmp_path):
         (["experiment", "prune-demo", "--smooth-bound", "nan", "--out-dir", "{tmp}"], "--smooth-bound"),
         (["experiment", "pomerance", "--N", "30", "--C", "nan", "--out-dir", "{tmp}"], "--C"),
         (["experiment", "pomerance", "--N", "30", "--sweep-C", "1,nan", "--out-dir", "{tmp}"], "--sweep-C"),
-        (["fourier", "{set}", "--k", "1", "--lcm-bound", "0"], "--lcm-bound"),
-        (["experiment", "prune-demo", "--lcm-bound", "0", "--out-dir", "{tmp}"], "--lcm-bound"),
         (["fourier", "{set}", "--k", "1", "--threads", "0"], "--threads"),
         (["experiment", "prune-demo", "--threads", "-2", "--out-dir", "{tmp}"], "--threads"),
         (["fourier", "{set}", "--k", "1", "--arc-width", "nan"], "--arc-width"),
@@ -353,8 +367,8 @@ def test_solve_reproducible_json(set_file, tmp_path):
          "decompose-table-bound", "prune-demo-y-zero", "prune-demo-y-negative", "sieve-z-inf",
          "pomerance-N-zero", "pomerance-step-zero", "pomerance-step-negative", "lambda-max-one",
          "prune-demo-omega-lo-nan", "prune-demo-omega-hi-nan", "prune-demo-smooth-bound-nan", "pomerance-C-nan",
-         "pomerance-sweep-C-nan", "fourier-lcm-bound-zero", "prune-demo-lcm-bound-zero", "fourier-threads-zero",
-         "prune-demo-threads-negative", "fourier-arc-width-nan", "fourier-arc-width-inf"],
+         "pomerance-sweep-C-nan", "fourier-threads-zero", "prune-demo-threads-negative", "fourier-arc-width-nan",
+         "fourier-arc-width-inf"],
 )
 def test_usage_errors_exit_64(argv, named, set_file, tmp_path, capsys):
     # argparse must not exit 2, the budget code, and none of these may end in a traceback;
@@ -395,6 +409,23 @@ def test_readme_documents_every_cli_option():
             for opt in action.option_strings:
                 if opt not in ("-h", "--help"):
                     assert re.search(re.escape(opt) + r"(?![\w-])", usage.get(name, "")), (name, opt)
+
+
+@pytest.mark.parametrize("module", ["egyfrac", "egyfrac.cli"])
+def test_python_m_gives_the_exit_code_and_stdout_of_main(module, tmp_path, capsys):
+    # python -m egyfrac.cli used to exit 0 with no output, and python -m egyfrac found no __main__
+    f = tmp_path / "set.txt"
+    f.write_text("2\n3\n6\n")
+    src = str(Path(egyfrac.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv, code in [(["solve", str(f), "--target", "1/1"], 0), (["solve", str(f)], 64)]:
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        run = subprocess.run([sys.executable, "-m", module, *argv],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert (run.returncode, run.stdout) == (code, out), run.stderr
+        if code == 0:
+            assert json.loads(out)["witness"] == [2, 3, 6]
 
 
 def test_programming_errors_are_not_mapped(tmp_path, monkeypatch):

@@ -63,11 +63,15 @@ def test_fourier_refuses_counts_beyond_float_precision():
         arc_classify(divisors_above_one(55440)[:70], 1, 1.0)
 
 
-def test_fourier_refuses_before_forming_products(monkeypatch):
+def _forbid_kernel(monkeypatch):
     def kernel_called(*args, **kwargs):
-        raise AssertionError("the product kernel ran on a set the error bound refuses")
+        raise AssertionError("the product kernel ran on a set that must be refused")
 
     monkeypatch.setattr(egyfrac.fourier, "_gathered_product", kernel_called)
+
+
+def test_fourier_refuses_before_forming_products(monkeypatch):
+    _forbid_kernel(monkeypatch)
     with pytest.raises(NumericalInstabilityError):
         fourier_count(divisors_above_one(720720)[:80], 1)
     with pytest.raises(NumericalInstabilityError):
@@ -75,15 +79,23 @@ def test_fourier_refuses_before_forming_products(monkeypatch):
 
 
 def test_arc_classify_refuses_over_byte_budget_before_forming_products(monkeypatch):
-    def kernel_called(*args, **kwargs):
-        raise AssertionError("the product kernel ran on an lcm over the byte budget")
+    _forbid_kernel(monkeypatch)
+    # lcm 9699690, past the lcm bound: its diagnostics would take some 475 MB, so no product may be formed
+    with pytest.raises(ResourceLimitError, match="exceeds bound"):
+        arc_classify([2, 3, 5, 7, 11, 13, 17, 19], 1, 1.0)
 
-    monkeypatch.setattr(egyfrac.fourier, "_gathered_product", kernel_called)
-    # lcm 9699690: its diagnostics would take some 2.3 GB, so no product may be formed
-    with pytest.raises(ResourceLimitError, match="byte budget"):
-        arc_classify([2, 3, 5, 7, 11, 13, 17, 19], 1, 1.0, lcm_bound=10**7)
-    f = egyfrac.fourier
-    assert f._ARC_BYTES_PER_FREQ * f.DEFAULT_LCM_BOUND <= f._ARC_BYTE_BUDGET
+
+def test_every_entry_point_refuses_past_the_lcm_bound_before_forming_products(monkeypatch):
+    # the bound is read at call time; set below lcm(2, 3, 6) = 6, it refuses all three entry points
+    _forbid_kernel(monkeypatch)
+    monkeypatch.setattr(egyfrac.fourier, "_LCM_BOUND", 5)
+    for call in (orthogonality_sum, fourier_count, lambda A, k: arc_classify(A, k, 1.0)):
+        with pytest.raises(ResourceLimitError, match="^lcm 6 exceeds bound 5$"):
+            call([2, 3, 6], 1)
+    # arc_classify checks the lcm before the float error bound refuses 80 elements
+    monkeypatch.setattr(egyfrac.fourier, "_LCM_BOUND", 10**5)
+    with pytest.raises(ResourceLimitError, match="^lcm 720720 exceeds bound 100000$"):
+        arc_classify(divisors_above_one(720720)[:80], 1, 1.0)
 
 
 def _sum_outcome(sum_fn, x):
@@ -225,6 +237,11 @@ def test_kernel_across_three_chunks(threads):
     _assert_kernel_matches_reference(A, 2, threads, weights=False)
 
 
+# arc_classify's tracemalloc peak, 49.2 and 49.1 bytes a frequency at L = 27720 and
+# 55440 (49.0 at 360360 and 720720), with numpy 2.4; the lcm bound keeps it near 50 MB
+_ARC_PEAK_BYTES_PER_FREQ = 50
+
+
 @pytest.mark.parametrize("N,m", [(27720, 13), (55440, 14)])
 def test_arc_byte_budget_covers_the_tracemalloc_peak(N, m):
     A = divisors_above_one(N)[:m]
@@ -235,7 +252,7 @@ def test_arc_byte_budget_covers_the_tracemalloc_peak(N, m):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= egyfrac.fourier._ARC_BYTES_PER_FREQ * N, peak / N
+    assert peak <= _ARC_PEAK_BYTES_PER_FREQ * N, peak / N
 
 
 def test_fourier_resource_error():
