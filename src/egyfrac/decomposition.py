@@ -79,5 +79,6 @@ def build_decomposition(A: SetLike, t: FactorTable) -> Decomposition:
         # ascending q within each n fixes the order of parts, and so of the JSON
         for q in sorted(p**r for p, r in factorize(n, t)):
             classes.setdefault(q, []).append(n)
-    parts = {q: IntSet(members) for q, members in classes.items()}
-    return Decomposition(base=A, qset=IntSet(parts), parts=parts)
+    # each class lists its members once each, in A's ascending order
+    parts = {q: IntSet._sorted(tuple(members)) for q, members in classes.items()}
+    return Decomposition(base=A, qset=IntSet._sorted(tuple(sorted(parts))), parts=parts)

@@ -60,7 +60,7 @@ def sieve_survivors(lo: int, hi: int, y: float, z: float, t: FactorTable) -> Int
         if start <= hi:
             count = (hi - start) // p + 1
             alive[start - lo :: p] = b"\x00" * count
-    return IntSet((np.flatnonzero(np.frombuffer(alive, dtype=np.uint8)) + lo).tolist())
+    return IntSet._sorted(tuple((np.flatnonzero(np.frombuffer(alive, dtype=np.uint8)) + lo).tolist()))
 
 
 def prime_powers_upto(X: int, t: FactorTable) -> list[int]:

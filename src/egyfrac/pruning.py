@@ -8,8 +8,11 @@ always the smallest failing prime power, always the smallest candidate
 element.  All comparisons are exact rationals.
 
 Both run on a class index built from one ``build_decomposition`` of the
-input: the index copies its classes and weighs each with ``fraction_sum``,
+input: the index copies its classes and weighs each with ``pair_sum``,
 and prune_to_window builds its two indexes from the same decomposition.
+Masses and the running sum are unreduced num/den pairs: a class's
+denominator is the lcm of its members, so a removal costs one small gcd
+and one division, and theta is compared by cross-multiplying.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from fractions import Fraction
 
 from .decomposition import Decomposition, build_decomposition
 from .errors import DomainError, InfeasibleError
-from .rational import IntSet, SetLike, as_intset, format_rational, fraction_sum, recip_sum
+from .rational import IntSet, SetLike, _gcd_add, as_intset, format_rational, pair_sum, recip_sum
 from .sieve import FactorTable
 
 
@@ -60,15 +63,19 @@ class _ClassIndex:
     """
 
     def __init__(self, dec: Decomposition, theta: Fraction):
-        self.theta = theta
+        self.theta = theta.numerator, theta.denominator
         self.classes = {q: set(members) for q, members in dec.parts.items()}
-        self.masses = {q: fraction_sum((q, n) for n in members) for q, members in dec.parts.items()}
+        self.masses = {q: pair_sum((q, n) for n in members) for q, members in dec.parts.items()}
         self.ppowers: dict[int, list[int]] = {n: [] for n in dec.base}
         for q, members in dec.parts.items():
             for n in members:
                 self.ppowers[n].append(q)
-        self.light = [q for q, m in self.masses.items() if m < theta]
+        self.light = [q for q, m in self.masses.items() if self._is_light(m)]
         heapq.heapify(self.light)
+
+    def _is_light(self, mass: tuple[int, int]) -> bool:
+        (num, den), (tn, td) = mass, self.theta
+        return num * td < tn * den
 
     def remove(self, n: int) -> None:
         for q in self.ppowers.pop(n):
@@ -78,8 +85,8 @@ class _ClassIndex:
                 del self.classes[q], self.masses[q]
                 continue
             old = self.masses[q]
-            self.masses[q] = new = old - Fraction(q, n)
-            if new < self.theta <= old:
+            self.masses[q] = new = _gcd_add(old, (-q, n))
+            if self._is_light(new) and not self._is_light(old):
                 heapq.heappush(self.light, q)
 
     def smallest_light(self) -> int | None:
@@ -121,7 +128,8 @@ def prune_ppower(A: SetLike, theta, t: FactorTable) -> PruneTrace:
         raise DomainError("theta must be >= 0")
     index = _ClassIndex(build_decomposition(A, t), theta)
     removed_qs, removed_elements = index.prune()
-    final = IntSet(index.ppowers)
+    # ppowers keeps A's ascending order as elements leave it
+    final = IntSet._sorted(tuple(index.ppowers))
     return PruneTrace(
         removed_qs=tuple(removed_qs),
         removed_elements=tuple(removed_elements),
@@ -155,7 +163,8 @@ def prune_to_window(A: SetLike, alpha, theta, M: int, t: FactorTable) -> PruneTr
         raise DomainError("theta must be >= 0")
     if M < 1:
         raise DomainError("M must be >= 1")
-    r_initial = recip_sum(A)
+    r = pair_sum((1, n) for n in A)
+    r_initial = Fraction(*r)
     if r_initial < alpha:
         raise DomainError(f"need recip_sum(A) >= alpha, got {r_initial} < {alpha}")
     for n in A:
@@ -170,9 +179,8 @@ def prune_to_window(A: SetLike, alpha, theta, M: int, t: FactorTable) -> PruneTr
     core = _ClassIndex(dec, 2 * theta)
     core.prune()
     order = iter(A.elements)
-    r = r_initial
     removed: list[int] = []
-    while r >= alpha:
+    while r[0] * alpha.denominator >= alpha.numerator * r[1]:  # r >= alpha
         if not core.ppowers:
             raise InfeasibleError(
                 "pre-prune at 2*theta emptied the set while the sum is still >= alpha"
@@ -181,7 +189,7 @@ def prune_to_window(A: SetLike, alpha, theta, M: int, t: FactorTable) -> PruneTr
         working.remove(x)
         core.remove(x)
         core.prune()
-        r -= Fraction(1, x)
+        r = _gcd_add(r, (-1, x))
         removed.append(x)
         if working.smallest_light() is not None:
             bad = sorted(q for q in working.light if q in working.classes)
@@ -191,7 +199,7 @@ def prune_to_window(A: SetLike, alpha, theta, M: int, t: FactorTable) -> PruneTr
     return PruneTrace(
         removed_qs=(),
         removed_elements=tuple(removed),
-        final=IntSet(working.ppowers),
+        final=IntSet._sorted(tuple(working.ppowers)),
         r_initial=r_initial,
-        r_final=r,
+        r_final=Fraction(*r),
     )

@@ -4,9 +4,11 @@ The two workhorses are ``recip_sum`` (the reciprocal sum of a set, computed
 exactly) and ``lcm_set``.  All rational values are ``fractions.Fraction``
 instances, which are always stored reduced with a positive denominator.
 
-Sums go through one kernel, ``fraction_sum``, a ``balanced_merge`` that
+Sums go through one kernel, ``pair_sum``, a ``balanced_merge`` that
 divides out the gcd of the two denominators at each step: reciprocal sums
-and the class masses of ``decomposition`` and ``pruning`` alike.  Only the
+and the class masses of ``decomposition`` and ``pruning`` alike.
+``fraction_sum`` reduces its pair to a ``Fraction``; ``pruning`` keeps its
+masses and running sums as unreduced pairs.  Only the
 Mertens sums of ``filters``, which are in lowest terms by construction,
 keep their own gcd-free merge, and ``_reduced_fraction`` builds their
 ``Fraction`` without the final gcd.
@@ -49,6 +51,13 @@ class IntSet:
             raise DomainError(f"set elements must be positive, got {elems[0]}")
         object.__setattr__(self, "elements", tuple(elems))
 
+    @classmethod
+    def _sorted(cls, elems: tuple[int, ...]) -> "IntSet":
+        """The set of elems, which the caller proves are distinct positive ints, ascending."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "elements", elems)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("IntSet is immutable")
 
@@ -59,7 +68,10 @@ class IntSet:
         return len(self.elements)
 
     def __contains__(self, n) -> bool:
-        i = bisect_left(self.elements, n)
+        try:
+            i = bisect_left(self.elements, n)
+        except TypeError:  # a probe that does not compare with ints is no member
+            return False
         return i < len(self.elements) and self.elements[i] == n
 
     def __eq__(self, other) -> bool:
@@ -133,17 +145,22 @@ def balanced_merge(terms: list[_T], merge: Callable[[_T, _T], _T], empty: _T) ->
     return terms[0]
 
 
-def fraction_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
-    """Exact sum of num/den pairs via balanced pairwise merging.
+def pair_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """Exact sum of num/den pairs (den > 0) via balanced pairwise merging, unreduced.
 
     Each merge divides out g = gcd(b, d):
-    a/b + c/d = (a*(d/g) + c*(b/g)) / ((b/g)*d), so a merged denominator is
-    the lcm of the denominators below it rather than their product, and
-    the final reduction works on lcm-sized integers.  The result is
-    identical to naive left-to-right Fraction accumulation.
+    a/b + c/d = (a*(d/g) + c*(b/g)) / ((b/g)*d), so the denominator of the
+    sum is the lcm of the denominators, not their product.
     """
-    num, den = balanced_merge(list(pairs), _gcd_add, (0, 1))
-    return Fraction(num, den)
+    return balanced_merge(list(pairs), _gcd_add, (0, 1))
+
+
+def fraction_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """Exact sum of num/den pairs, reduced once at the end on lcm-sized integers.
+
+    The result is identical to naive left-to-right Fraction accumulation.
+    """
+    return Fraction(*pair_sum(pairs))
 
 
 def _gcd_add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:

@@ -1,6 +1,7 @@
 """Smallest-prime-factor sieve and the factorization queries built on it."""
 from __future__ import annotations
 
+import math
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,11 +37,11 @@ class FactorTable:
 
     def spf(self, n: int) -> int:
         self._check(n)
-        return int(self._spf[n])
+        return self._spf.data[n]
 
     def is_prime(self, n: int) -> bool:
         self._check(n)
-        return int(self._spf[n]) == n
+        return self._spf.data[n] == n
 
     @property
     def primes(self) -> np.ndarray:
@@ -83,26 +84,31 @@ def build_table(N: int) -> FactorTable:
         raise DomainError(f"table bound must be >= 2, got {N}")
     if N + 1 > _MAX_ENTRIES:
         raise ResourceLimitError(f"table bound {N} exceeds the budget of {_MAX_ENTRIES} entries")
-    spf = np.zeros(N + 1, dtype=np.int32 if N < 2**31 else np.int64)
-    i = 2
-    while i * i <= N:
-        if spf[i] == 0:
-            sub = spf[i * i :: i]
-            sub[sub == 0] = i
-        i += 1
+    return FactorTable(N, _sieve(N))
+
+
+def _sieve(N: int) -> np.ndarray:
+    """Smallest prime factors of 0..N, for N >= 2 (0 at 0 and 1)."""
+    spf = np.zeros(N + 1, dtype=np.int32)
+    # a composite n <= N has its smallest prime p at most sqrt(N), with p*p <= n: each
+    # such prime marks its multiples from p*p on, the largest first, so the smallest
+    # prime dividing n writes last
+    root = math.isqrt(N)
+    for p in reversed(FactorTable(root, _sieve(root)).primes.tolist() if root >= 2 else []):
+        spf[p * p :: p] = p
     # untouched entries >= 2 are prime
     rest = np.flatnonzero(spf[2:] == 0) + 2
     spf[rest] = rest
-    return FactorTable(N, spf)
+    return spf
 
 
 def factorize(n: int, t: FactorTable) -> Factorization:
     """Complete prime factorization as (prime, exponent) pairs, primes ascending."""
     t._check(n)
-    spf = t._spf
+    spf = t._spf.data  # a memoryview: indexing gives Python ints, not numpy scalars
     out: Factorization = []
     while n > 1:
-        p = int(spf[n])
+        p = spf[n]
         r = 0
         while n % p == 0:
             n //= p

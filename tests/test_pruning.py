@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from egyfrac import (
     DomainError,
@@ -15,6 +17,7 @@ from egyfrac import (
     rec_sum_q,
     recip_sum,
 )
+from helpers import trial_factorize
 
 
 def test_prune_ppower_examples(small_table):
@@ -110,22 +113,47 @@ def test_prune_to_window_randomized(small_table):
         assert tr.final.union(tr.removed_elements) == A
 
 
+def _fraction_masses(S, t):
+    """Every class mass of S, each a Fraction accumulated left to right."""
+    masses = {}
+    for n in sorted(S):
+        for q in exact_prime_powers(n, t):
+            masses[q] = masses.get(q, Fraction(0)) + Fraction(q, n)
+    return masses
+
+
+def _prune_ppower_reference(A, theta, t):
+    """Delete the class of the smallest light prime power, with every mass
+    recomputed as a Fraction after each deletion."""
+    working = sorted(A)
+    removed_qs, removed = [], []
+    while light := [q for q, m in _fraction_masses(working, t).items() if m < theta]:
+        q = min(light)
+        victims = [n for n in working if n % q == 0 and math.gcd(q, n // q) == 1]
+        removed_qs.append(q)
+        removed += victims
+        working = [n for n in working if n not in victims]
+    return tuple(removed_qs), tuple(removed), IntSet(working), sum((Fraction(1, n) for n in working), Fraction(0))
+
+
 def _prune_to_window_reference(A, alpha, theta, M, t):
     """The window trimmer re-derived from scratch at every step: the
-    pre-prune reruns prune_ppower at 2*theta on the whole working set, and
-    the floor recomputes every class mass."""
+    pre-prune reruns the prune_ppower reference at 2*theta on the whole
+    working set, and the floor recomputes every class mass."""
+    if theta > 0 and any(q > M * theta for q in _fraction_masses(A, t)):
+        raise DomainError("prime power exceeds M*theta")
     working = sorted(A)
-    r = recip_sum(A)
+    r = sum((Fraction(1, n) for n in working), Fraction(0))
     removed = []
     while r >= alpha:
-        survivors = prune_ppower(working, 2 * theta, t).final
+        survivors = _prune_ppower_reference(working, 2 * theta, t)[2]
         if not survivors:
             raise InfeasibleError("pre-prune emptied the set")
         x = survivors.elements[0]
         working.remove(x)
         r -= Fraction(1, x)
         removed.append(x)
-        if any(rec_sum_q(working, q, t) < theta for q in ppowers_in_set(working, t)):
+        if any(m < theta for m in _fraction_masses(working, t).values()):
             raise InfeasibleError("floor lost")
     return tuple(removed), IntSet(working), r
 
@@ -135,6 +163,8 @@ def _outcome(f, *args):
         tr = f(*args)
     except InfeasibleError:
         return "infeasible"
+    except DomainError:
+        return "domain"
     return tr if isinstance(tr, tuple) else (tr.removed_elements, tr.final, tr.r_final)
 
 
@@ -165,3 +195,50 @@ def test_prune_trace_json(small_table):
     assert d["removed_elements"] == [4]
     assert d["r_initial"] == "5/12"
     assert d["r_final"] == "1/6"
+
+
+def test_a_class_whose_mass_equals_theta_is_not_light(small_table):
+    # in {6, 10} the classes of 3 and 5 weigh 1/2 each and that of 2 weighs 8/15
+    assert prune_ppower([6, 10], Fraction(1, 2), small_table).final == IntSet([6, 10])
+    tr = prune_ppower([6, 10], Fraction(8, 15), small_table)
+    assert tr.removed_qs == (3, 2) and tr.final == IntSet([])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=2, max_value=400), min_size=1, max_size=30),
+    st.integers(min_value=0, max_value=10**6),
+    st.fractions(min_value=0, max_value=1, max_denominator=24),
+)
+def test_prune_ppower_matches_fraction_reference(small_table, xs, pick, other):
+    A = IntSet(xs)
+    masses = sorted(set(_fraction_masses(A, small_table).values()))
+    # a theta equal to some class mass, which leaves that class standing, and one drawn freely
+    for theta in (masses[pick % len(masses)], other):
+        tr = prune_ppower(A, theta, small_table)
+        got = (tr.removed_qs, tr.removed_elements, tr.final, tr.r_final)
+        assert got == _prune_ppower_reference(A, theta, small_table)
+        assert tr.r_initial == recip_sum(A)
+
+
+_WINDOW_POOL = [n for n in range(280, 2800) if max(p**a for p, a in trial_factorize(n)) <= 13]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sets(st.sampled_from(_WINDOW_POOL), max_size=6),
+    st.integers(min_value=0, max_value=8),
+    st.sampled_from(["zero", "cap", "half-mass", "mass"]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_prune_to_window_matches_fraction_reference(small_table, dropped, cut, kind, pick):
+    # every prime power of the pool is at most 13, so theta >= 13/280 meets q <= M*theta;
+    # a theta of half a class mass puts that class exactly at the pre-prune's 2*theta
+    M = 280
+    A = IntSet(n for n in _WINDOW_POOL if n not in dropped)
+    masses = sorted(set(_fraction_masses(A, small_table).values()))
+    mass = masses[pick % len(masses)]
+    theta = {"zero": Fraction(0), "cap": Fraction(13, M), "half-mass": mass / 2, "mass": mass}[kind]
+    alpha = recip_sum(A) - Fraction(cut, M)
+    expected = _outcome(_prune_to_window_reference, A, alpha, theta, M, small_table)
+    assert _outcome(prune_to_window, A, alpha, theta, M, small_table) == expected

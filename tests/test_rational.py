@@ -5,7 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from egyfrac import DomainError, IntSet, format_rational, fraction_sum, lcm_set, parse_rational, recip_sum
+from egyfrac import (
+    DomainError,
+    IntSet,
+    build_decomposition,
+    format_rational,
+    fraction_sum,
+    lcm_set,
+    parse_rational,
+    prune_ppower,
+    prune_to_window,
+    recip_sum,
+    sieve_survivors,
+)
 
 small_sets = st.lists(st.integers(min_value=1, max_value=500), max_size=12)
 
@@ -76,6 +88,30 @@ def test_intset_normalization():
     assert 3 in a and 5 not in a
     assert len(a) == 3
     assert IntSet([1]).elements == (1,)
+
+
+@pytest.mark.parametrize("probe", ["a", None, 2.5j, (2,), [3]])
+def test_intset_contains_a_non_integer_probe_is_false(probe):
+    # a container answers False for a probe it cannot hold, as set and tuple do
+    assert probe not in IntSet([1, 2, 3])
+    assert probe not in IntSet([])
+
+
+def test_library_built_sets_equal_validated_sets(small_table):
+    # the library builds these without re-validating; each must be the set IntSet would build
+    dec = build_decomposition(range(2, 400), small_table)
+    window = prune_to_window(range(1000, 1200), Fraction(1, 10), 0, 1000, small_table)
+    built = [
+        sieve_survivors(100, 5000, 3, 100, small_table),
+        dec.qset,
+        *dec.parts.values(),
+        prune_ppower(range(2, 400), Fraction(1, 2), small_table).final,
+        window.final,
+    ]
+    assert window.removed_elements and dec.parts
+    for s in built:
+        assert s.elements == IntSet(list(s)).elements
+        assert all(type(n) is int for n in s)
 
 
 def test_intset_rejects_nonpositive():

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import egyfrac.sieve
@@ -16,7 +17,7 @@ from egyfrac import (
     largest_prime,
     omega,
 )
-from helpers import trial_factorize
+from helpers import trial_factorize, trial_is_prime
 
 
 def test_spf_examples():
@@ -130,3 +131,30 @@ def test_factorize_all_sieves_at_most_eight_times_the_count(monkeypatch, count, 
     monkeypatch.setattr(egyfrac.sieve, "build_table", lambda N: sieved.append(N) or build(N))
     assert egyfrac.sieve.factorize_all(elems) == {n: egyfrac.sieve._trial_factorize(n) for n in elems}
     assert sieved == ([ratio * count] if count >= 256 and ratio <= 8 else [])
+
+
+# N in 2..400, and N at p^2 - 1, p^2 and p^2 + 1 for the primes p <= 101: the edges of
+# the sieve's writes, each prime marking its multiples from p^2 on
+_SIEVE_BOUNDS = sorted(set(range(2, 401)) | {p * p + d for p in range(2, 102) if trial_is_prime(p) for d in (-1, 0, 1)})
+
+
+def test_build_table_matches_trial_division():
+    top = _SIEVE_BOUNDS[-1]
+    spf = [0, 0] + [trial_factorize(n)[0][0] for n in range(2, top + 1)]
+    for N in _SIEVE_BOUNDS:
+        t = build_table(N)
+        assert t._spf.dtype == np.int32 and t._spf.data.format == "i"
+        assert t._spf.tolist() == spf[: N + 1], N
+        assert t.primes.tolist() == [n for n in range(2, N + 1) if spf[n] == n], N
+    for N in _SIEVE_BOUNDS[-12:]:
+        # peel divides out one smallest prime factor a round, so each element sees its primes ascending
+        got = {n: [] for n in range(2, N + 1)}
+        for rows, ps in build_table(N).peel(np.arange(2, N + 1)):
+            for i, p in zip(rows.tolist(), ps.tolist()):
+                got[i + 2].append(p)
+        assert got == {n: [p for p, a in trial_factorize(n) for _ in range(a)] for n in range(2, N + 1)}, N
+
+
+def test_spf_queries_return_python_ints(small_table):
+    assert type(small_table.spf(9999)) is int and small_table.spf(9999) == 3
+    assert all(type(p) is int for n in range(2, 50) for p, _ in factorize(n, small_table))
