@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .rational import IntSet, _reduced_fraction, balanced_merge
+from .rational import IntSet, _coprime_sum, _reduced_fraction, balanced_merge
 from .sieve import FactorTable, factorize, omega
 
 
@@ -83,11 +83,11 @@ def mertens_q_sum(X: int, t: FactorTable) -> Fraction:
     The sum takes one term per prime p <= X: with p^a the largest power of
     p that is <= X, 1/p + ... + 1/p^a = c_p / p^a where
     c_p = 1 + p + ... + p^(a-1) = (p^a - 1)/(p - 1).  The denominators p^a
-    are pairwise coprime, so merging without gcds gives N / L with
-    N = sum of c_q * L/q^b over the primes q and L = lcm(1..X).  That is
-    already in lowest terms: for q != p, L/q^b carries the factor p^a, so
-    N = c_p * L/p^a (mod p), where c_p = 1 (mod p) and L/p^a is prime to p.
-    No prime p <= X divides N, so gcd(N, L) = 1.
+    are pairwise coprime, so ``_coprime_sum`` merges them without gcds into
+    N / L with N = sum of c_q * L/q^b over the primes q and L = lcm(1..X).
+    That is already in lowest terms: for q != p, L/q^b carries the factor
+    p^a, so N = c_p * L/p^a (mod p), where c_p = 1 (mod p) and L/p^a is
+    prime to p.  No prime p <= X divides N, so gcd(N, L) = 1.
     """
     if X > t.bound:
         raise RangeError(f"X={X} exceeds table bound {t.bound}")
@@ -99,7 +99,7 @@ def mertens_q_sum(X: int, t: FactorTable) -> Fraction:
         while pa * p <= X:
             pa *= p
         terms.append(((pa - 1) // (p - 1), pa))
-    num, den = balanced_merge(terms, lambda x, y: (x[0] * y[1] + y[0] * x[1], x[1] * y[1]), (0, 1))
+    num, den = _coprime_sum(terms)
     return _reduced_fraction(num, den)
 
 

@@ -55,10 +55,7 @@ def _members(N: int, C: float, t: FactorTable) -> IntSet:
     if not C > 0:
         raise DomainError(f"C must be positive, got {C}")
     n = np.arange(2, N + 1)
-    # the last smallest prime factor peeled off each n is its largest prime
-    largest = np.empty_like(n)
-    for live, p in t.peel(n.copy()):
-        largest[live] = p
+    largest = t.largest_primes(n)
     # math.log, not np.log: the two may differ in the last bit, which can move a member
     primes = n[largest == n]
     ln = np.zeros(N + 1)

@@ -9,10 +9,11 @@ element.  All comparisons are exact rationals.
 
 Both run on a class index built from one ``build_decomposition`` of the
 input: the index copies its classes and weighs each with ``pair_sum``,
-and prune_to_window builds its two indexes from the same decomposition.
-Masses and the running sum are unreduced num/den pairs: a class's
-denominator is the lcm of its members, so a removal costs one small gcd
-and one division, and theta is compared by cross-multiplying.
+and prune_to_window builds its two indexes from the same decomposition,
+the second with the first one's masses.  Masses and the running sum are
+unreduced num/den pairs: a class's denominator is the lcm of its members,
+so a removal costs one small gcd and one division, and theta is compared
+by cross-multiplying.
 """
 from __future__ import annotations
 
@@ -62,10 +63,13 @@ class _ClassIndex:
     reach the top.  One removal costs O(omega(n)).
     """
 
-    def __init__(self, dec: Decomposition, theta: Fraction):
+    def __init__(self, dec: Decomposition, theta: Fraction, masses: dict | None = None):
         self.theta = theta.numerator, theta.denominator
         self.classes = {q: set(members) for q, members in dec.parts.items()}
-        self.masses = {q: pair_sum((q, n) for n in members) for q, members in dec.parts.items()}
+        # the masses of another index over dec, before any removal, are copied, not summed again
+        if masses is None:
+            masses = {q: pair_sum((q, n) for n in members) for q, members in dec.parts.items()}
+        self.masses = dict(masses)
         self.ppowers: dict[int, list[int]] = {n: [] for n in dec.base}
         for q, members in dec.parts.items():
             for n in members:
@@ -130,12 +134,13 @@ def prune_ppower(A: SetLike, theta, t: FactorTable) -> PruneTrace:
     removed_qs, removed_elements = index.prune()
     # ppowers keeps A's ascending order as elements leave it
     final = IntSet._sorted(tuple(index.ppowers))
+    r_initial = recip_sum(A)
     return PruneTrace(
         removed_qs=tuple(removed_qs),
         removed_elements=tuple(removed_elements),
         final=final,
-        r_initial=recip_sum(A),
-        r_final=recip_sum(final),
+        r_initial=r_initial,
+        r_final=recip_sum(final) if removed_elements else r_initial,
     )
 
 
@@ -176,7 +181,7 @@ def prune_to_window(A: SetLike, alpha, theta, M: int, t: FactorTable) -> PruneTr
         for q in working.classes:
             if q > M * theta:
                 raise DomainError(f"prime power {q} exceeds M*theta = {M * theta}")
-    core = _ClassIndex(dec, 2 * theta)
+    core = _ClassIndex(dec, 2 * theta, working.masses)
     core.prune()
     order = iter(A.elements)
     removed: list[int] = []

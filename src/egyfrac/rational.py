@@ -5,13 +5,17 @@ exactly) and ``lcm_set``.  All rational values are ``fractions.Fraction``
 instances, which are always stored reduced with a positive denominator.
 
 Sums go through one kernel, ``pair_sum``, a ``balanced_merge`` that
-divides out the gcd of the two denominators at each step: reciprocal sums
-and the class masses of ``decomposition`` and ``pruning`` alike.
-``fraction_sum`` reduces its pair to a ``Fraction``; ``pruning`` keeps its
-masses and running sums as unreduced pairs.  Only the
-Mertens sums of ``filters``, which are in lowest terms by construction,
-keep their own gcd-free merge, and ``_reduced_fraction`` builds their
-``Fraction`` without the final gcd.
+divides out the gcd of the two denominators at each step: small
+reciprocal sums and the class masses of ``decomposition`` and ``pruning``
+alike.  ``fraction_sum`` reduces its pair to a ``Fraction``; ``pruning``
+keeps its masses and running sums as unreduced pairs.  Terms over
+pairwise coprime denominators merge with no gcd at all, through
+``_coprime_sum``: the Mertens sums of ``filters``, and the large-prime
+part of a big reciprocal sum, which ``recip_sum`` splits off at
+isqrt(max(A)) so that no gcd is taken on lcm-sized integers.  The Mertens
+sums are in lowest terms by construction, and the split sum after one gcd
+against a small number, so ``_reduced_fraction`` builds both ``Fraction``
+values without the final gcd.
 """
 from __future__ import annotations
 
@@ -24,6 +28,8 @@ from bisect import bisect_left
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, TypeVar, Union
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -195,10 +201,84 @@ def _reduced_fraction(num: int, den: int) -> Fraction:
     return Fraction(_Reduced(num, den))
 
 
+def _coprime_sum(pairs: list[tuple[int, int]]) -> tuple[int, int]:
+    """Exact sum of num/den pairs whose denominators are pairwise coprime.
+
+    No gcd is taken: the denominator of the sum is the product of the
+    denominators.
+    """
+    return balanced_merge(pairs, _coprime_add, (0, 1))
+
+
+def _coprime_add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    (a, b), (c, d) = x, y
+    return a * d + c * b, b * d
+
+
+# recip_sum splits sets of at least _SPLIT_MIN elements whose max is at most _SPLIT_SPAN
+# times their count, and at most _SPLIT_TOP, which keeps the split's int32 table within 64 MB
+_SPLIT_MIN = 2048
+_SPLIT_SPAN = 32
+_SPLIT_TOP = 1 << 24
+
+
 def recip_sum(A: SetLike) -> Fraction:
-    """Return the exact reciprocal sum of a set (0 for the empty set)."""
+    """Return the exact reciprocal sum of a set (0 for the empty set).
+
+    Sets of 2048 or more elements whose max is at most 32 times their
+    count go through ``_split_recip_sum``, which takes no gcd on lcm-sized
+    integers; the rest through ``fraction_sum``.  The split pays a sieve up
+    to max(A), so it loses on small or sparse sets.  (Measured on a 2-vCPU
+    Xeon, best of 7 to 21, mean of 3 random sets: at 1,024 elements the
+    split took 1.15 to 1.25 times as long for max 2 to 48 times the count;
+    at 2,048, 0.85 to 0.95 times for 2 to 32 and 1.05 for 48; at 4,096,
+    0.96 for 64 and 1.6 for 256.  On the Pomerance sets, of density 0.25
+    to 0.4, the two are even near 1,000 members: 0.99 ms through
+    ``fraction_sum`` and 0.94 ms split at 948, 224 and 57 ms at 27,986.)
+    """
     A = as_intset(A)
-    return fraction_sum((1, n) for n in A)
+    elems = A.elements
+    if len(elems) < _SPLIT_MIN or elems[-1] > min(_SPLIT_SPAN * len(elems), _SPLIT_TOP):
+        return fraction_sum((1, n) for n in elems)
+    return _split_recip_sum(elems)
+
+
+def _split_recip_sum(elems: tuple[int, ...]) -> Fraction:
+    """The reciprocal sum of distinct positive ints, ascending, split at B = isqrt(max).
+
+    An element n whose largest prime p exceeds B is p*m with m <= B, since
+    n < (B + 1)^2; with L = lcm(1..B), the terms of each such p add up to
+    c_p / (L*p), c_p = sum of L/m over p's cofactors m.  Distinct primes are
+    coprime, so ``_coprime_sum`` merges the pairs (c_p, p) into N / P with
+    P the product of the primes, and p divides N iff p divides c_p: those
+    primes are divided out of N and P.  The B-smooth rest sums by
+    ``pair_sum`` to a/b, and one ``_gcd_add`` joins the two parts over
+    lcm(b, L) * P.  No prime of P divides the joined numerator, so the one
+    reducing gcd is taken against lcm(b, L), which has no prime above B.
+    """
+    from .sieve import build_table  # sieve imports this module
+
+    top = elems[-1]
+    root = math.isqrt(top)
+    values = np.array(elems, dtype=np.int64)
+    largest = build_table(max(top, 2)).largest_primes(values)
+    big = largest > root
+    ps = largest[big]
+    L = math.lcm(*range(1, root + 1))
+    # one L/m object for each m, shared by every c_p with a single cofactor
+    Lm = [0] + [L // m for m in range(1, root + 1)]
+    c: dict[int, int] = {}
+    for p, m in zip(ps.tolist(), (values[big] // ps).tolist()):
+        c[p] = c[p] + Lm[m] if p in c else Lm[m]
+    cancel = [p for p, cp in c.items() if cp % p == 0]
+    num, den = _coprime_sum([(cp, p) for p, cp in c.items()])
+    if cancel:
+        q = math.prod(cancel)
+        num, den = num // q, den // q
+    a, b = pair_sum((1, n) for n in values[~big].tolist())
+    num, den = _gcd_add((a, b), (num, L * den))
+    g = math.gcd(num, math.lcm(b, L))
+    return _reduced_fraction(num // g, den // g)
 
 
 def lcm_set(A: SetLike) -> int:

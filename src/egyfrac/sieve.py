@@ -64,6 +64,16 @@ class FactorTable:
             yield live, p
             live = live[values[live] > 1]
 
+    def largest_primes(self, values: np.ndarray) -> np.ndarray:
+        """The largest prime factor of each entry of ``values`` (0 for an
+        entry of 1), read off as the last prime ``peel`` divides it by.
+        Entries must be at least 1 and at most ``bound``.
+        """
+        largest = np.zeros_like(values)
+        for live, p in self.peel(values.copy()):
+            largest[live] = p
+        return largest
+
     def primes_between(self, lo: float, hi: float) -> list[int]:
         """Primes p with lo <= p <= hi (endpoints may be non-integers)."""
         ps = self.primes
@@ -92,10 +102,12 @@ def _sieve(N: int) -> np.ndarray:
     spf = np.zeros(N + 1, dtype=np.int32)
     # a composite n <= N has its smallest prime p at most sqrt(N), with p*p <= n: each
     # such prime marks its multiples from p*p on, the largest first, so the smallest
-    # prime dividing n writes last
+    # prime dividing n writes last; an odd prime marks only its odd multiples, and 2
+    # marks the even ones at the end
     root = math.isqrt(N)
-    for p in reversed(FactorTable(root, _sieve(root)).primes.tolist() if root >= 2 else []):
-        spf[p * p :: p] = p
+    for p in reversed(FactorTable(root, _sieve(root)).primes.tolist()[1:] if root >= 2 else []):
+        spf[p * p :: 2 * p] = p
+    spf[4::2] = 2
     # untouched entries >= 2 are prime
     rest = np.flatnonzero(spf[2:] == 0) + 2
     spf[rest] = rest

@@ -61,6 +61,14 @@ def brute_count_integral(A, k: int) -> int:
     return count
 
 
+def lcm_recip_sum(A) -> tuple[int, int]:
+    """The reciprocal sum of A in lowest terms, as (num, den), by scaling to L = lcm(A)."""
+    L = math.lcm(*A)
+    num = sum(L // n for n in A)
+    g = math.gcd(num, L)
+    return num // g, L // g
+
+
 def trial_factorize(n: int) -> list[tuple[int, int]]:
     out = []
     d = 2

@@ -70,6 +70,14 @@ def test_omega_examples(small_table):
     assert omega(30030, t) == 6
 
 
+def test_largest_primes_matches_trial_division(small_table):
+    values = np.array([1, *range(2, 3001), 9973, 2 * 4999, 10_000], dtype=np.int64)
+    before = values.copy()
+    expected = [trial_factorize(n)[-1][0] if n > 1 else 0 for n in values.tolist()]
+    assert small_table.largest_primes(values).tolist() == expected
+    assert np.array_equal(values, before)  # peeled on a copy
+
+
 def test_largest_prime_examples(small_table):
     assert largest_prime(12, small_table) == 3
     assert largest_prime(7, small_table) == 7
