@@ -14,9 +14,11 @@ Factors and weights depend on h only through (k h) mod n, so each element
 n gets one table of its n values, all built in one vectorized pass: sum(A)
 exp/cos calls in place of |A| * L.  The product of the first j tables is
 periodic in h with period lcm(n_1..n_j), so _gathered_product forms it over
-min(lcm(n_1..n_j), chunk) entries and multiplies each table in as one rotated
-row: sum over j of min(lcm(n_1..n_j), chunk) multiplies per chunk, and no
-modulo over h.  A count is refused before any product is formed when its
+min(lcm(n_1..n_j), chunk) entries of one chunk-length buffer, copied forward
+in place as the period grows, and multiplies each table in as one rotated row,
+all rows taken by one gather: sum over j of min(lcm(n_1..n_j), chunk)
+multiplies per chunk, and no modulo over h.
+A count is refused before any product is formed when its
 a-priori error bound 18 m 2^m u (u = 2^-53, m = |A|) reaches 1/4: m >= 42.
 A table entry 1 + e(j/n) is within 23u of exact (three roundings in the phase,
 < 2 pi 3u; 1 ulp in cos and in sin; one in adding 1.0), a complex product adds
@@ -184,34 +186,42 @@ def _phase_tables(A: IntSet) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(len(n)) - np.repeat(np.cumsum(ns) - ns, ns), n
 
 
-def _gathered_product(tables: np.ndarray, A: IntSet, k: int, start: int, length: int) -> np.ndarray:
+def _gathered_product(
+    tables: np.ndarray, phases: tuple[np.ndarray, np.ndarray], A: IntSet, k: int, start: int, length: int
+) -> np.ndarray:
     """Product over n in A of t_n[(k h) mod n] at h = start .. start + length - 1.
 
-    t_n is n's table, the next n entries of tables in A's order, and length is
-    at most lcm(A), so the last product spans all length entries.  The product
-    of the first j tables has period m = lcm(n_1..n_j) in h, so it is held over
-    min(m, length) entries and extended with np.resize as m grows.  Each table
-    enters as one rotated row t_n[(k (start + i)) mod n], i < n, multiplied into
-    a (q, n) view of the product plus an r-entry tail.  Every entry gets the
-    same factors in the same order as a product formed per h.
+    t_n is n's table, the next n entries of tables in A's order, phases is
+    _phase_tables(A), and length is at most lcm(A), so the last product spans
+    all length entries.  One gather takes every table's rotated row
+    t_n[(k (start + j)) mod n], j < n.  The product of the first i tables has
+    period m = lcm(n_1..n_i) in h, so it is held over the first min(m, length)
+    entries of one length-entry buffer, and copied forward in place as m
+    grows.  Each row is multiplied into a (q, n) view of the product plus an
+    r-entry tail.  Every entry gets the same factors in the same order as a
+    product formed per h.
     """
-    kh = k * np.arange(start, start + min(max(A, default=0), length))
-    prod = np.ones(1, dtype=tables.dtype)
-    m, offset = 1, 0
+    j, ns = phases
+    rows = tables[(k * (start + j)) % ns + (np.arange(len(j)) - j)]
+    buf = np.empty(length, dtype=tables.dtype)
+    buf[0] = 1
+    m, size, offset = 1, 1, 0
     for n in A:
         m = math.lcm(m, n)
-        size = min(m, length)
-        if size > len(prod):
-            prod = np.resize(prod, size)
-        row = tables[offset : offset + n][kh[: min(n, size)] % n]
+        grown = min(m, length)
+        while size < grown:  # doubling: until the last copy, size is a whole number of periods
+            step = min(size, grown - size)
+            buf[size : size + step] = buf[:step]
+            size += step
+        row = rows[offset : offset + n]
         q, r = divmod(size, n)
         if q:
-            block = prod[: q * n].reshape(q, n)  # a view: prod is contiguous
+            block = buf[: q * n].reshape(q, n)  # a view: buf is contiguous
             block *= row
         if r:
-            prod[q * n :] *= row[:r]
+            buf[q * n : size] *= row[:r]
         offset += n
-    return prod
+    return buf[:size]
 
 
 def orthogonality_sum(
@@ -238,7 +248,7 @@ def orthogonality_sum(
     starts = h[::_CHUNK]
 
     def chunk_sums(start: int) -> tuple[float, float]:
-        prod = _gathered_product(roots, A, k, start, min(_CHUNK, h.stop - start))
+        prod = _gathered_product(roots, (num, den), A, k, start, min(_CHUNK, h.stop - start))
         return _exact_sum(prod.real), _exact_sum(prod.imag)
 
     if threads > 1 and len(starts) > 1:
@@ -314,9 +324,9 @@ def arc_classify(
     major_mask |= r >= L - reach
     del r
     num, den = _phase_tables(A)
-    num = np.minimum(num, den - num)
-    cosines = np.where(2 * num == den, 0.0, np.abs(np.cos(np.pi * num / den)))  # |cos(pi j / n)|, 0 where 2j = n
-    weight_array = np.delete(_gathered_product(cosines, A, k, h.start, L), -h.start)  # h = 0 left out
+    fold = np.minimum(num, den - num)
+    cosines = np.where(2 * fold == den, 0.0, np.abs(np.cos(np.pi * fold / den)))  # |cos(pi j / n)|, 0 where 2j = n
+    weight_array = np.delete(_gathered_product(cosines, (num, den), A, k, h.start, L), -h.start)  # h = 0 left out
     for a in (hs, major_mask, weight_array):
         a.flags.writeable = False
     return ArcDiagnostics(

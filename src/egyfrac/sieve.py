@@ -79,7 +79,7 @@ class FactorTable:
         ps = self.primes
         i = np.searchsorted(ps, lo, side="left")
         j = np.searchsorted(ps, hi, side="right")
-        return [int(p) for p in ps[i:j]]
+        return ps[i:j].tolist()
 
     def _check(self, n: int) -> None:
         if n < 2:
@@ -99,7 +99,9 @@ def build_table(N: int) -> FactorTable:
 
 def _sieve(N: int) -> np.ndarray:
     """Smallest prime factors of 0..N, for N >= 2 (0 at 0 and 1)."""
-    spf = np.zeros(N + 1, dtype=np.int32)
+    # every entry starts as itself, so the primes, which nothing marks, are fixed points
+    spf = np.arange(N + 1, dtype=np.int32)
+    spf[:2] = 0
     # a composite n <= N has its smallest prime p at most sqrt(N), with p*p <= n: each
     # such prime marks its multiples from p*p on, the largest first, so the smallest
     # prime dividing n writes last; an odd prime marks only its odd multiples, and 2
@@ -108,9 +110,6 @@ def _sieve(N: int) -> np.ndarray:
     for p in reversed(FactorTable(root, _sieve(root)).primes.tolist()[1:] if root >= 2 else []):
         spf[p * p :: 2 * p] = p
     spf[4::2] = 2
-    # untouched entries >= 2 are prime
-    rest = np.flatnonzero(spf[2:] == 0) + 2
-    spf[rest] = rest
     return spf
 
 

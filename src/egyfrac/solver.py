@@ -39,14 +39,14 @@ would complete a solution; n is included only while the bit is clear.
 Every DP table, a run of sets from the one reachability kernel
 ``_subset_sums`` or a count array of its counting twin ``_count_sums``, is
 checked against ``_BYTE_BUDGET`` before it is allocated.  ``_count_sums``
-meets in the middle up to ``_EXHAUSTIVE_BOUND`` weights and runs its DP past
-them.
+meets in the middle over sorted numpy arrays of subset sums up to
+``_EXHAUSTIVE_BOUND`` weights and runs its DP past them.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -243,16 +243,20 @@ def _alternating_split(items: Sequence[int]) -> tuple[list[int], list[int]]:
     return list(items[0::2]), list(items[1::2])
 
 
-def _enumerate_sums(weights: Sequence[int], nodes: Optional[_Nodes] = None) -> list[int]:
-    """All 2^|weights| subset sums of the weights.
+def _enumerate_sums(weights: Sequence[int], top: int = 0, nodes: Optional[_Nodes] = None) -> np.ndarray:
+    """All 2^|weights| subset sums of the weights, as int64 when the weights'
+    total and ``top``, a bound the caller puts on what it computes from the
+    sums, are below 2^62, and as Python ints past it.
 
-    Entry j is the sum over the subset {weights[t] : bit t of j is set}.
+    Entry j is the sum over the subset {weights[t] : bit t of j is set}: each
+    weight doubles the array, its new half the old one plus the weight.
     """
-    out = [0]
-    for w in weights:
-        out += [s + w for s in out]
+    dtype = np.int64 if max(sum(weights), top) < 1 << 62 else object
+    out = np.zeros(1 << len(weights), dtype=dtype)
+    for t, w in enumerate(weights):
+        np.add(out[: 1 << t], w, out=out[1 << t : 2 << t])
         if nodes is not None:
-            nodes.spend(len(out) // 2)
+            nodes.spend(1 << t)
     return out
 
 
@@ -266,12 +270,16 @@ def _find_meet(elems: Sequence[int], weights: Sequence[int], T: int, cfg: Solver
         nodes.count = cfg.node_budget
         return SolverResult(SolverStatus.BUDGET_EXCEEDED, None, nodes.count)
     left_weights, right_weights = _alternating_split(weights)
-    left_sums: dict[int, list[int]] = {}
-    for j, s in enumerate(_enumerate_sums(left_weights, nodes)):
-        left_sums.setdefault(s, []).append(j)
+    top = sum(weights)  # bounds T and every sum, so both halves take one dtype
+    left_sums = _enumerate_sums(left_weights, top, nodes)
+    order = np.argsort(left_sums, kind="stable")  # equal sums keep ascending j
+    left_sums = left_sums[order]
+    needed = T - _enumerate_sums(right_weights, top, nodes)
+    lo = np.searchsorted(left_sums, needed, side="left")
+    hi = np.searchsorted(left_sums, needed, side="right")
     best: Optional[tuple[int, ...]] = None
-    for jr, s in enumerate(_enumerate_sums(right_weights, nodes)):
-        for jl in left_sums.get(T - s, ()):
+    for jr in np.flatnonzero(hi > lo).tolist():
+        for jl in order[lo[jr] : hi[jr]].tolist():
             candidate = tuple(sorted(_subset(left, jl) + _subset(right, jr)))
             if not cfg.deterministic:
                 return SolverResult(SolverStatus.FOUND, IntSet(candidate), nodes.count)
@@ -317,18 +325,27 @@ def _count_sums(weights: Sequence[int], r: int, width: int, cyclic: bool = False
     """The number of subsets of the weights that sum to r, the counting twin
     of ``_subset_sums``: mod ``width`` when ``cyclic``, else exactly, r < width.
 
-    Meets in the middle up to ``_EXHAUSTIVE_BOUND`` weights.  Past that it
-    runs a DP over a table of ``width`` counts: int64 up to 62 weights, since
-    a count is below 2^k for k weights, and past that pointers to ints of at
-    most 32 + 8 * (k // 30) bytes.  Raises ResourceLimitError before
-    allocating when the table and the temporary of a DP step would pass the
-    byte budget.
+    Up to ``_EXHAUSTIVE_BOUND`` weights it meets in the middle over the
+    subset sums of two alternating halves (``_enumerate_sums``): the left
+    sums are sorted, and two binary searches count the left sums equal to
+    each right sum's complement.  Past that it runs a DP over a table of
+    ``width`` counts: int64 up to 62 weights, since a count is below 2^k for
+    k weights, and past that pointers to ints of at most 32 + 8 * (k // 30)
+    bytes.  Raises ResourceLimitError before allocating when the table and
+    the temporary of a DP step would pass the byte budget.
     """
     k = len(weights)
     if k <= _EXHAUSTIVE_BOUND:
-        left, right = _alternating_split(weights)
-        counts = Counter(s % width if cyclic else s for s in _enumerate_sums(left))
-        return sum(counts[(r - s) % width if cyclic else r - s] for s in _enumerate_sums(right))
+        # bounds every sum, r, width and difference, so both halves take one dtype
+        top = sum(weights) + width
+        left, right = (_enumerate_sums(half, top) for half in _alternating_split(weights))
+        needed = r - right
+        if cyclic:
+            left %= width
+            needed %= width
+        left.sort()
+        hits = np.searchsorted(left, needed, side="right") - np.searchsorted(left, needed, side="left")
+        return int(hits.sum())
     dtype, entry = (np.int64, 8) if k <= 62 else (object, 8 + 32 + 8 * (k // 30))
     _check_bytes(2 * width * entry, "the table of subset-sum counts")
     dp = np.zeros(width, dtype=dtype)

@@ -237,6 +237,25 @@ def test_kernel_across_three_chunks(threads):
     _assert_kernel_matches_reference(A, 2, threads, weights=False)
 
 
+@pytest.mark.parametrize("length", [1, 5, 44])
+def test_gathered_product_shorter_than_the_largest_element(length):
+    # 45 is the largest element: a length of 1 or below 45 cuts every row or some rows short
+    A = IntSet([7, 12, 30, 45])
+    num, den = egyfrac.fourier._phase_tables(A)
+    offsets = np.cumsum([0] + list(A.elements))
+    roots = 1.0 + np.exp((2j * np.pi) * (num / den))
+    cosines = np.abs(np.cos(np.pi * num / den))
+    for k in (1, 2, 3):
+        for start in (-629, -3, 0, 17):
+            hs = np.arange(start, start + length, dtype=np.int64)
+            for tables in (roots, cosines):
+                want = np.ones(length, dtype=tables.dtype)
+                for n, off in zip(A, offsets):
+                    want *= tables[off + (k * hs) % n]  # per h, in A's order
+                got = egyfrac.fourier._gathered_product(tables, (num, den), A, k, start, length)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (k, start, length)
+
+
 # arc_classify's tracemalloc peak, 49.2 and 49.1 bytes a frequency at L = 27720 and
 # 55440 (49.0 at 360360 and 720720), with numpy 2.4; the lcm bound keeps it near 50 MB
 _ARC_PEAK_BYTES_PER_FREQ = 50

@@ -4,6 +4,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from egyfrac import (
@@ -451,6 +452,40 @@ def test_counters_match_fraction_reference(monkeypatch):
                 assert got == want, (A, arg)
                 dp_runs += 1
     assert dp_runs > 60, dp_runs
+
+
+FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+
+
+@pytest.mark.parametrize(
+    "A,dtype",
+    [
+        ([], np.int64),
+        (FIRST_PRIMES[:10], np.int64),  # lcm 6469693230: int64 sums
+        (FIRST_PRIMES, object),  # lcm about 3.3 * 10^19, past 2^62: Python-int sums
+        # lcm about 2^64 with small weights: the cyclic width alone is past 2^62
+        ([4294967279, 4294967291, 4294967279 * 4294967291], object),
+    ],
+)
+def test_meet_counters_on_both_sides_of_the_int64_switch(A, dtype):
+    L = math.lcm(*A)
+    weights = [L // n for n in A]
+    for half in solver._alternating_split(weights):
+        assert solver._enumerate_sums(half, sum(weights) + L).dtype == dtype
+    for target in {Fraction(0), Fraction(1), recip_sum(A[:1]), recip_sum(A[1:3]), recip_sum(A[::3])}:
+        assert count_subsets(A, target) == reference_count_subsets(A, target), (A, target)
+    for k in (1, 2, 6, 35):
+        assert count_integral(A, k) == reference_count_integral(A, k), (A, k)
+
+
+def test_enumerate_sums_order_and_dtype():
+    # entry j sums the weights at the set bits of j, so powers of two give range(2^h)
+    for h in range(8):
+        sums = solver._enumerate_sums([1 << t for t in range(h)])
+        assert sums.dtype == np.int64 and sums.tolist() == list(range(1 << h))
+    sums = solver._enumerate_sums([1 << 62, 1])
+    assert sums.dtype == object and sums.tolist() == [0, 1 << 62, 1, (1 << 62) + 1]
+    assert solver._enumerate_sums([3, 5], 1 << 62).dtype == object
 
 
 def _solution_elements(A, target) -> set[int]:
