@@ -258,8 +258,10 @@ def _experiment_prune_demo(args):
     omega_hi = math.inf if args.omega_hi is None else args.omega_hi
     if omega_lo > omega_hi:
         raise DomainError(f"--omega-lo {omega_lo} exceeds --omega-hi {omega_hi}")
-    t = build_table(max(args.hi, 2))
     theta = parse_rational(args.theta)
+    if theta < 0:
+        raise DomainError(f"--theta must be >= 0, got {args.theta}")
+    t = build_table(max(args.hi, 2))
     pool = []
     for n in range(args.lo, args.hi + 1):
         if not has_divisor_pair(n, args.y, args.z):

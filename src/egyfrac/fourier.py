@@ -305,8 +305,10 @@ def arc_classify(
 ) -> ArcDiagnostics:
     """Classify every nonzero frequency as major or minor and weigh it.
 
-    Raises ResourceLimitError past the lcm bound before fourier_count's
-    refusal of a set too large to certify, and before any work.
+    ``threads`` reaches only the count (``fourier_count``); the weights'
+    product runs on one thread.  Raises ResourceLimitError past the lcm
+    bound before fourier_count's refusal of a set too large to certify,
+    and before any work.
     """
     A = as_intset(A)
     if not 0 <= K < math.inf:  # NaN would make every frequency minor, inf every one major and K non-JSON

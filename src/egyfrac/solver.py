@@ -4,6 +4,8 @@ Three interchangeable search strategies are provided.  All are exact and
 complete: a "found" result carries a verified witness, an
 "exhausted_none" result certifies that no qualifying subset exists, and
 running out of node budget is reported as a status rather than an error.
+Each strategy counts its own nodes and hands its witness and count to
+``_result``, the one rule that turns them into a status.
 
 Every search and both counters work in integer units of 1/L, L = lcm(A),
 as scaled once by ``_scaled``: element n weighs L/n, a subset sum is an
@@ -39,8 +41,9 @@ would complete a solution; n is included only while the bit is clear.
 Every DP table, a run of sets from the one reachability kernel
 ``_subset_sums`` or a count array of its counting twin ``_count_sums``, is
 checked against ``_BYTE_BUDGET`` before it is allocated.  ``_count_sums``
-meets in the middle over sorted numpy arrays of subset sums up to
-``_EXHAUSTIVE_BOUND`` weights and runs its DP past them.
+meets in the middle up to ``_EXHAUSTIVE_BOUND`` weights and runs its DP
+past them; ``_meet``, over sorted numpy arrays of subset sums, is the one
+meet in the middle of that count and of the ``meet_middle`` search.
 """
 from __future__ import annotations
 
@@ -94,6 +97,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverResult:
+    """A search's status, its witness when "found", and the nodes it spent.
+
+    ``nodes_explored`` counts, for dfs_bnb, the nodes visited, or
+    node_budget + 1 when the budget cuts the search; for meet_middle over
+    k elements, 2^ceil(k/2) + 2^floor(k/2) - 2, or node_budget when it
+    refuses before enumerating; for residue_dp, |A|.  It is 0 when
+    ``_scaled`` rules the target out before any search.
+    """
+
     status: SolverStatus
     witness: Optional[IntSet]
     nodes_explored: int
@@ -106,21 +118,14 @@ class SolverResult:
         }
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _Nodes:
-    __slots__ = ("count", "limit")
-
-    def __init__(self, limit: int):
-        self.count = 0
-        self.limit = limit
-
-    def spend(self, k: int = 1) -> None:
-        self.count += k
-        if self.count > self.limit:
-            raise _BudgetExhausted
+def _result(witness: Optional[Sequence[int]], nodes: int, budget: int) -> SolverResult:
+    """The result of a search that spent ``nodes`` nodes: past the budget it
+    is cut, and otherwise it found ``witness`` or proved that none exists."""
+    if nodes > budget:
+        return SolverResult(SolverStatus.BUDGET_EXCEEDED, None, nodes)
+    if witness is None:
+        return SolverResult(SolverStatus.EXHAUSTED_NONE, None, nodes)
+    return SolverResult(SolverStatus.FOUND, IntSet(witness), nodes)
 
 
 def _scaled(elems: Sequence[int], target: Fraction) -> Optional[tuple[int, list[int], int]]:
@@ -152,13 +157,14 @@ def _dfs_search(
     L: int,
     T: int,
     factors: dict[int, Factorization],
-    nodes: _Nodes,
-) -> Optional[tuple[int, ...]]:
+    limit: int,
+) -> tuple[Optional[tuple[int, ...]], int]:
     """Complete DFS over ``order``, include-first, in units of 1/L.
 
     L is the lcm of the elements, element n weighs L/n and the target is
     the integer T (see ``_scaled``).  Returns the first qualifying subset
-    in exploration order, or None if none exists.  Two sound cuts are
+    in exploration order, or None if none exists, and the nodes visited;
+    the search stops at node ``limit + 1`` with None.  Two sound cuts are
     applied: the remaining suffix weight must cover the deficit D, and
     every prime left in the deficit's denominator must still divide some
     remaining element (otherwise it can never cancel).  A prime p is in
@@ -184,18 +190,16 @@ def _dfs_search(
 
     chosen = [False] * k
     stack = [(0, T, False)]
-    count, limit = nodes.count, nodes.limit
+    count = 0
     while stack:
         i, D, included = stack.pop()
         count += 1
         if count > limit:
-            nodes.count = count
-            raise _BudgetExhausted
+            return None, count
         if i:
             chosen[i - 1] = included
         if D == 0:
-            nodes.count = count
-            return tuple(order[j] for j in range(i) if chosen[j])
+            return tuple(order[j] for j in range(i) if chosen[j]), count
         if i == k or suffix[i] < D:
             continue
         for q in dying[i]:
@@ -205,8 +209,7 @@ def _dfs_search(
             stack.append((i + 1, D, False))
             if weights[i] <= D:
                 stack.append((i + 1, D - weights[i], True))
-    nodes.count = count
-    return None
+    return None, count
 
 
 def _grouped_order(elems: Sequence[int], factors: dict[int, Factorization]) -> list[int]:
@@ -221,17 +224,17 @@ def _grouped_order(elems: Sequence[int], factors: dict[int, Factorization]) -> l
 
 
 def _find_dfs(
-    elems: Sequence[int], L: int, T: int, cfg: SolverConfig, nodes: _Nodes, factors: dict[int, Factorization]
+    elems: Sequence[int], L: int, T: int, cfg: SolverConfig, factors: dict[int, Factorization]
 ) -> SolverResult:
-    witness = _dfs_search(_grouped_order(elems, factors), L, T, factors, nodes)
-    if witness is None:
-        return SolverResult(SolverStatus.EXHAUSTED_NONE, None, nodes.count)
-    if cfg.deterministic:
+    budget = cfg.node_budget
+    witness, nodes = _dfs_search(_grouped_order(elems, factors), L, T, factors, budget)
+    if witness is not None and cfg.deterministic:
         # re-search in ascending element order: include-first DFS then
         # yields the lexicographically smallest qualifying subset
-        witness = _dfs_search(elems, L, T, factors, nodes)
-        assert witness is not None
-    return SolverResult(SolverStatus.FOUND, IntSet(witness), nodes.count)
+        witness, more = _dfs_search(elems, L, T, factors, budget - nodes)
+        nodes += more
+        assert witness is not None or nodes > budget
+    return _result(witness, nodes, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +246,7 @@ def _alternating_split(items: Sequence[int]) -> tuple[list[int], list[int]]:
     return list(items[0::2]), list(items[1::2])
 
 
-def _enumerate_sums(weights: Sequence[int], top: int = 0, nodes: Optional[_Nodes] = None) -> np.ndarray:
+def _enumerate_sums(weights: Sequence[int], top: int = 0) -> np.ndarray:
     """All 2^|weights| subset sums of the weights, as int64 when the weights'
     total and ``top``, a bound the caller puts on what it computes from the
     sums, are below 2^62, and as Python ints past it.
@@ -255,39 +258,49 @@ def _enumerate_sums(weights: Sequence[int], top: int = 0, nodes: Optional[_Nodes
     out = np.zeros(1 << len(weights), dtype=dtype)
     for t, w in enumerate(weights):
         np.add(out[: 1 << t], w, out=out[1 << t : 2 << t])
-        if nodes is not None:
-            nodes.spend(1 << t)
     return out
+
+
+def _meet(weights: Sequence[int], r: int, top: int, modulus: Optional[int]) -> tuple[np.ndarray, ...]:
+    """Meet in the middle over the subset sums of two alternating halves of
+    the weights (``_enumerate_sums``, with ``top`` bounding r, the modulus
+    and every sum and difference, so both halves take one dtype).
+
+    Returns (order, lo, hi): ``order`` sorts the left half's sums, and the
+    left subsets order[lo[j] : hi[j]], in no set order, are those whose sum
+    completes right subset j to r, mod ``modulus`` unless it is None.
+    """
+    left, right = (_enumerate_sums(half, top) for half in _alternating_split(weights))
+    needed = r - right
+    if modulus is not None:
+        left %= modulus
+        needed %= modulus
+    order = np.argsort(left)
+    left = left[order]
+    return order, np.searchsorted(left, needed, side="left"), np.searchsorted(left, needed, side="right")
 
 
 def _subset(half: Sequence[int], j: int) -> tuple[int, ...]:
     return tuple(n for t, n in enumerate(half) if j >> t & 1)
 
 
-def _find_meet(elems: Sequence[int], weights: Sequence[int], T: int, cfg: SolverConfig, nodes: _Nodes) -> SolverResult:
+def _find_meet(elems: Sequence[int], weights: Sequence[int], T: int, cfg: SolverConfig) -> SolverResult:
     left, right = _alternating_split(elems)
     if 2 ** len(left) + 2 ** len(right) > cfg.node_budget:
-        nodes.count = cfg.node_budget
-        return SolverResult(SolverStatus.BUDGET_EXCEEDED, None, nodes.count)
-    left_weights, right_weights = _alternating_split(weights)
-    top = sum(weights)  # bounds T and every sum, so both halves take one dtype
-    left_sums = _enumerate_sums(left_weights, top, nodes)
-    order = np.argsort(left_sums, kind="stable")  # equal sums keep ascending j
-    left_sums = left_sums[order]
-    needed = T - _enumerate_sums(right_weights, top, nodes)
-    lo = np.searchsorted(left_sums, needed, side="left")
-    hi = np.searchsorted(left_sums, needed, side="right")
+        return SolverResult(SolverStatus.BUDGET_EXCEEDED, None, cfg.node_budget)
+    # each element of a half spends one node per sum it adds
+    nodes = 2 ** len(left) + 2 ** len(right) - 2
+    order, lo, hi = _meet(weights, T, sum(weights), None)
     best: Optional[tuple[int, ...]] = None
     for jr in np.flatnonzero(hi > lo).tolist():
-        for jl in order[lo[jr] : hi[jr]].tolist():
+        # ascending jl, so that the first hit does not depend on the sort
+        for jl in np.sort(order[lo[jr] : hi[jr]]).tolist():
             candidate = tuple(sorted(_subset(left, jl) + _subset(right, jr)))
             if not cfg.deterministic:
-                return SolverResult(SolverStatus.FOUND, IntSet(candidate), nodes.count)
+                return _result(candidate, nodes, cfg.node_budget)
             if best is None or candidate < best:
                 best = candidate
-    if best is None:
-        return SolverResult(SolverStatus.EXHAUSTED_NONE, None, nodes.count)
-    return SolverResult(SolverStatus.FOUND, IntSet(best), nodes.count)
+    return _result(best, nodes, cfg.node_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +338,10 @@ def _count_sums(weights: Sequence[int], r: int, width: int, cyclic: bool = False
     """The number of subsets of the weights that sum to r, the counting twin
     of ``_subset_sums``: mod ``width`` when ``cyclic``, else exactly, r < width.
 
-    Up to ``_EXHAUSTIVE_BOUND`` weights it meets in the middle over the
-    subset sums of two alternating halves (``_enumerate_sums``): the left
-    sums are sorted, and two binary searches count the left sums equal to
-    each right sum's complement.  Past that it runs a DP over a table of
+    Up to ``_EXHAUSTIVE_BOUND`` weights it meets in the middle through
+    ``_meet``, the kernel ``_find_meet`` searches with: the left sums are
+    sorted, and two binary searches count the left sums equal to each right
+    sum's complement.  Past that it runs a DP over a table of
     ``width`` counts: int64 up to 62 weights, since a count is below 2^k for
     k weights, and past that pointers to ints of at most 32 + 8 * (k // 30)
     bytes.  Raises ResourceLimitError before allocating when the table and
@@ -336,16 +349,8 @@ def _count_sums(weights: Sequence[int], r: int, width: int, cyclic: bool = False
     """
     k = len(weights)
     if k <= _EXHAUSTIVE_BOUND:
-        # bounds every sum, r, width and difference, so both halves take one dtype
-        top = sum(weights) + width
-        left, right = (_enumerate_sums(half, top) for half in _alternating_split(weights))
-        needed = r - right
-        if cyclic:
-            left %= width
-            needed %= width
-        left.sort()
-        hits = np.searchsorted(left, needed, side="right") - np.searchsorted(left, needed, side="left")
-        return int(hits.sum())
+        _, lo, hi = _meet(weights, r, sum(weights) + width, width if cyclic else None)
+        return int((hi - lo).sum())
     dtype, entry = (np.int64, 8) if k <= 62 else (object, 8 + 32 + 8 * (k // 30))
     _check_bytes(2 * width * entry, "the table of subset-sum counts")
     dp = np.zeros(width, dtype=dtype)
@@ -358,12 +363,14 @@ def _count_sums(weights: Sequence[int], r: int, width: int, cyclic: bool = False
     return int(dp[r])
 
 
-def _find_residue(elems: Sequence[int], weights: Sequence[int], T: int, nodes: _Nodes) -> SolverResult:
-    nodes.spend(len(elems))
+def _find_residue(elems: Sequence[int], weights: Sequence[int], T: int, budget: int) -> SolverResult:
+    nodes = len(elems)
+    if nodes > budget:
+        return _result(None, nodes, budget)
     # suffix[j] holds the subset sums of the last j elements
     suffix = _subset_sums(weights[::-1], T + 1)
     if not suffix[-1] >> T & 1:
-        return SolverResult(SolverStatus.EXHAUSTED_NONE, None, nodes.count)
+        return _result(None, nodes, budget)
     picked = []
     r = T
     for n, w, rest in zip(elems, weights, reversed(suffix[:-1])):
@@ -371,7 +378,7 @@ def _find_residue(elems: Sequence[int], weights: Sequence[int], T: int, nodes: _
             picked.append(n)
             r -= w
     assert r == 0
-    return SolverResult(SolverStatus.FOUND, IntSet(picked), nodes.count)
+    return _result(picked, nodes, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -549,17 +556,13 @@ def find_subset(A: SetLike, target, cfg: SolverConfig = SolverConfig()) -> Solve
     L, weights, T = scaled
     if strategy == Strategy.AUTO:
         strategy = _pick_strategy(weights, T)
-    nodes = _Nodes(cfg.node_budget)
-    try:
-        if strategy == Strategy.MEET_MIDDLE:
-            return _find_meet(elems, weights, T, cfg, nodes)
-        if strategy == Strategy.RESIDUE_DP:
-            return _find_residue(elems, weights, T, nodes)
-        if factors is None:
-            factors = factorize_all(elems)
-        return _find_dfs(elems, L, T, cfg, nodes, factors)
-    except _BudgetExhausted:
-        return SolverResult(SolverStatus.BUDGET_EXCEEDED, None, nodes.count)
+    if strategy == Strategy.MEET_MIDDLE:
+        return _find_meet(elems, weights, T, cfg)
+    if strategy == Strategy.RESIDUE_DP:
+        return _find_residue(elems, weights, T, cfg.node_budget)
+    if factors is None:
+        factors = factorize_all(elems)
+    return _find_dfs(elems, L, T, cfg, factors)
 
 
 def count_subsets(A: SetLike, target) -> int:
@@ -598,7 +601,7 @@ def combine_solutions(parts: Sequence[tuple[SetLike, int]]) -> Optional[IntSet]:
     parts must be pairwise disjoint.  When several d qualify the smallest
     one is used.  Returns None if no d occurs often enough.
     """
-    sets = []
+    by_d: defaultdict[int, list[IntSet]] = defaultdict(list)
     seen: set[int] = set()
     for i, (S, d) in enumerate(parts):
         S = as_intset(S)
@@ -610,18 +613,9 @@ def combine_solutions(parts: Sequence[tuple[SetLike, int]]) -> Optional[IntSet]:
         if overlap:
             raise DomainError(f"part {i}: overlaps an earlier part at {sorted(overlap)}")
         seen.update(S.elements)
-        sets.append((S, d))
-    by_d: dict[int, list[int]] = {}
-    for i, (_, d) in enumerate(sets):
-        by_d.setdefault(d, []).append(i)
-    for d in sorted(by_d):
-        idxs = by_d[d]
-        if len(idxs) >= d:
-            merged: tuple[int, ...] = ()
-            for i in idxs[:d]:
-                merged += sets[i][0].elements
-            return IntSet(merged)
-    return None
+        by_d[d].append(S)
+    d = min((e for e, sets in by_d.items() if len(sets) >= e), default=None)
+    return None if d is None else IntSet(n for S in by_d[d][:d] for n in S.elements)
 
 
 def lambda_exact(N: int, *, node_budget: int = 10_000_000) -> tuple[Fraction, IntSet]:

@@ -329,6 +329,16 @@ def test_residue_dp_counts_a_linear_set_by_its_prefix_sum():
     assert recip_sum(res.witness) == target
 
 
+def test_residue_dp_spends_one_node_per_element():
+    # the DP runs only when its |A| nodes fit the budget
+    A = divisors_above_one(720720)[:40]
+    cut = find_subset(A, Fraction(1, 2), SolverConfig(strategy=Strategy.RESIDUE_DP, node_budget=39))
+    assert (cut.status, cut.witness, cut.nodes_explored) == (SolverStatus.BUDGET_EXCEEDED, None, 40)
+    res = find_subset(A, Fraction(1, 2), SolverConfig(strategy=Strategy.RESIDUE_DP, node_budget=40))
+    assert (res.status, res.nodes_explored) == (SolverStatus.FOUND, 40)
+    assert recip_sum(res.witness) == Fraction(1, 2)
+
+
 def test_strategy_agreement_quick():
     rng = random.Random(35)
     for _ in range(30):
@@ -414,13 +424,11 @@ def test_dfs_kernel_matches_fraction_reference_in_ascending_order():
             expected = reference_dfs(A, target, counter, budget)
         except ReferenceBudgetExhausted:
             expected = "budget"
-        nodes = solver._Nodes(budget)
         factors = factorize_all(list(A))
-        try:
-            got = solver._dfs_search(A, L, T, factors, nodes)
-        except solver._BudgetExhausted:
+        got, nodes = solver._dfs_search(A, L, T, factors, budget)
+        if nodes > budget:
             got = "budget"
-        assert (got, nodes.count) == (expected, counter[0]), (A, target, budget)
+        assert (got, nodes) == (expected, counter[0]), (A, target, budget)
 
 
 @pytest.mark.parametrize("deterministic", [True, False])
