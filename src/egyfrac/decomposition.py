@@ -13,7 +13,7 @@ from typing import Mapping
 
 from .errors import DomainError
 from .rational import IntSet, SetLike, as_intset, fraction_sum
-from .sieve import FactorTable, exact_prime_powers, factorize, is_prime_power
+from .sieve import FactorTable, _prime_powers_each, exact_prime_powers, is_prime_power
 
 
 def subset_aq(A: SetLike, q: int, t: FactorTable) -> IntSet:
@@ -72,12 +72,13 @@ class Decomposition:
 def build_decomposition(A: SetLike, t: FactorTable) -> Decomposition:
     """Group the elements of A by their exact prime-power divisors."""
     A = as_intset(A)
-    if A and A.elements[0] == 1:
+    elems = A.elements
+    if elems and elems[0] == 1:
         raise DomainError("element 1 has no prime-power divisors")
     classes: dict[int, list[int]] = {}
-    for n in A:
-        # ascending q within each n fixes the order of parts, and so of the JSON
-        for q in sorted(p**r for p, r in factorize(n, t)):
+    # ascending q within each n fixes the order of parts, and so of the JSON
+    for n, qs in zip(elems, _prime_powers_each(elems, t)):
+        for q in qs:
             classes.setdefault(q, []).append(n)
     # each class lists its members once each, in A's ascending order
     parts = {q: IntSet._sorted(tuple(members)) for q, members in classes.items()}

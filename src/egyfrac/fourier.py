@@ -32,7 +32,10 @@ as three numpy arrays, 17 bytes a frequency, and build the tuples and the
 dict of their public accessors only when those are read; their JSON lists each
 arc as an inclusive run [lo, hi] of h.  arc_classify peaks at about 49 bytes a
 frequency (tracemalloc), so _LCM_BOUND = 10^6, which every entry point checks
-before it builds any table or array, holds it near 50 MB.
+before it builds any table or array, holds it near 50 MB.  The check folds the
+lcm 64 elements at a time and stops once it passes max(2^64, _LCM_BOUND), so a
+set whose lcm runs to thousands of digits is refused at the cost of a few
+folds, with a message that gives the lcm's bit length so far and not the lcm.
 """
 from __future__ import annotations
 
@@ -44,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NumericalInstabilityError, ResourceLimitError
-from .rational import IntSet, SetLike, as_intset, lcm_set
+from .rational import IntSet, SetLike, as_intset
 
 _LCM_BOUND = 10**6
 _CHUNK = 1 << 17
@@ -172,10 +175,17 @@ def _exact_sum(x: np.ndarray) -> float:
 
 
 def _checked_lcm(A: IntSet) -> int:
-    """lcm(A), refused past _LCM_BOUND before any table or array is built."""
-    L = lcm_set(A)
+    """lcm(A), refused past _LCM_BOUND before any table or array is built.
+    Folding stops past max(2^64, _LCM_BOUND), and the message then gives the size."""
+    elems, cap = A.elements, max(2**64, _LCM_BOUND)
+    L = math.lcm(*elems[:64])
+    for i in range(64, len(elems), 64):
+        if L > cap:
+            break
+        L = math.lcm(L, *elems[i : i + 64])
     if L > _LCM_BOUND:
-        raise ResourceLimitError(f"lcm {L} exceeds bound {_LCM_BOUND}")
+        size = L if L <= cap else f"of at least {L.bit_length()} bits"
+        raise ResourceLimitError(f"lcm {size} exceeds bound {_LCM_BOUND}")
     return L
 
 

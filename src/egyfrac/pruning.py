@@ -10,10 +10,12 @@ element.  All comparisons are exact rationals.
 Both run on a class index built from one ``build_decomposition`` of the
 input: the index copies its classes and weighs each with ``pair_sum``,
 and prune_to_window builds its two indexes from the same decomposition,
-the second with the first one's masses.  Masses and the running sum are
-unreduced num/den pairs: a class's denominator is the lcm of its members,
-so a removal costs one small gcd and one division, and theta is compared
-by cross-multiplying.
+the second with the first one's masses.  At theta = 0 prune_to_window
+builds no decomposition and no class index: no class can weigh less than
+0, so it only trims.  Masses and the running sum are num/den pairs, the
+masses unreduced: a class's denominator is the lcm of its members, so a
+removal costs one small gcd and one division, and theta is compared by
+cross-multiplying.
 """
 from __future__ import annotations
 
@@ -65,15 +67,19 @@ class _ClassIndex:
 
     def __init__(self, dec: Decomposition, theta: Fraction, masses: dict | None = None):
         self.theta = theta.numerator, theta.denominator
-        self.classes = {q: set(members) for q, members in dec.parts.items()}
+        self.classes: dict[int, set[int]] = {}
+        self.ppowers: dict[int, list[int]] = {n: [] for n in dec.base.elements}
         # the masses of another index over dec, before any removal, are copied, not summed again
-        if masses is None:
-            masses = {q: pair_sum((q, n) for n in members) for q, members in dec.parts.items()}
-        self.masses = dict(masses)
-        self.ppowers: dict[int, list[int]] = {n: [] for n in dec.base}
+        summed = masses is None
+        self.masses = {} if summed else dict(masses)
         for q, members in dec.parts.items():
-            for n in members:
+            elems = members.elements
+            self.classes[q] = set(elems)
+            for n in elems:
                 self.ppowers[n].append(q)
+            if summed:
+                # a one-member class weighs q/n as it stands
+                self.masses[q] = (q, elems[0]) if len(elems) == 1 else pair_sum([(q, n) for n in elems])
         self.light = [q for q, m in self.masses.items() if self._is_light(m)]
         heapq.heapify(self.light)
 
@@ -152,14 +158,14 @@ def prune_to_window(A: SetLike, alpha, theta, M: int, t: FactorTable) -> PruneTr
     least M, one removal lowers the sum by at most 1/M, which certifies
     the window on normal exit.  With theta > 0 every prime power of A
     must satisfy q <= M * theta, and the per-class floor
-    mass(D; q) >= theta is re-checked after every removal; theta = 0
-    disables the floor entirely (no mass is below 0) and gives a pure
-    window trimmer.
+    mass(D; q) >= theta is re-checked after every removal.
 
     The pre-prune of W is its largest subset core(W) whose classes all
     weigh at least 2*theta, and core(W - {x}) = core(core(W) - {x}), so
     one index over the core is carried from step to step next to one over
-    the working set, and neither is rebuilt.
+    the working set, and neither is rebuilt.  theta = 0 builds neither:
+    no mass is below 0, so the core is the whole working set, the floor
+    always holds, and the trimmer removes elements in ascending order.
     """
     A = as_intset(A)
     alpha = Fraction(alpha)
@@ -168,43 +174,55 @@ def prune_to_window(A: SetLike, alpha, theta, M: int, t: FactorTable) -> PruneTr
         raise DomainError("theta must be >= 0")
     if M < 1:
         raise DomainError("M must be >= 1")
-    r = pair_sum((1, n) for n in A)
-    r_initial = Fraction(*r)
+    r_initial = recip_sum(A)
     if r_initial < alpha:
-        raise DomainError(f"need recip_sum(A) >= alpha, got {r_initial} < {alpha}")
-    for n in A:
+        raise DomainError(f"need recip_sum(A) >= alpha, got {_brief(r_initial)} < {_brief(alpha)}")
+    for n in A.elements:
         if not M <= n <= t.bound:
             raise DomainError(f"element {n} outside [{M}, {t.bound}]")
-    dec = build_decomposition(A, t)
-    working = _ClassIndex(dec, theta)
-    if theta > 0:
+    if theta:
+        dec = build_decomposition(A, t)
+        working = _ClassIndex(dec, theta)
         for q in working.classes:
             if q > M * theta:
                 raise DomainError(f"prime power {q} exceeds M*theta = {M * theta}")
-    core = _ClassIndex(dec, 2 * theta, working.masses)
-    core.prune()
+        core = _ClassIndex(dec, 2 * theta, working.masses)
+        core.prune()
+    elif A and A.elements[0] == 1:
+        raise DomainError("element 1 has no prime-power divisors")
+    r = r_initial.numerator, r_initial.denominator
     order = iter(A.elements)
     removed: list[int] = []
     while r[0] * alpha.denominator >= alpha.numerator * r[1]:  # r >= alpha
-        if not core.ppowers:
+        x = next((n for n in order if not theta or n in core.ppowers), None)
+        if x is None:
             raise InfeasibleError(
                 "pre-prune at 2*theta emptied the set while the sum is still >= alpha"
             )
-        x = next(n for n in order if n in core.ppowers)
-        working.remove(x)
-        core.remove(x)
-        core.prune()
         r = _gcd_add(r, (-1, x))
         removed.append(x)
-        if working.smallest_light() is not None:
-            bad = sorted(q for q in working.light if q in working.classes)
-            raise InfeasibleError(
-                f"per-class floor theta lost at prime powers {bad} after removing {x}"
-            )
+        if theta:
+            working.remove(x)
+            core.remove(x)
+            core.prune()
+            if working.smallest_light() is not None:
+                bad = sorted(q for q in working.light if q in working.classes)
+                raise InfeasibleError(
+                    f"per-class floor theta lost at prime powers {bad} after removing {x}"
+                )
     return PruneTrace(
         removed_qs=(),
         removed_elements=tuple(removed),
-        final=IntSet._sorted(tuple(working.ppowers)),
+        # at theta = 0 the removals are a prefix of A
+        final=IntSet._sorted(tuple(working.ppowers) if theta else A.elements[len(removed):]),
         r_initial=r_initial,
         r_final=Fraction(*r),
     )
+
+
+def _brief(x: Fraction) -> str:
+    """x in full up to 256 bits, and past that the bit lengths of its numerator and denominator."""
+    num, den = x.numerator, x.denominator
+    if max(abs(num), den).bit_length() <= 256:
+        return str(x)
+    return f"a {num.bit_length()}-bit/{den.bit_length()}-bit fraction"

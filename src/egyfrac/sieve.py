@@ -135,7 +135,28 @@ def omega(n: int, t: FactorTable) -> int:
 
 def exact_prime_powers(n: int, t: FactorTable) -> IntSet:
     """The set {p^r : p^r divides n, gcd(p^r, n/p^r) = 1}, one per prime."""
-    return IntSet(p**r for p, r in factorize(n, t))
+    return IntSet._sorted(tuple(_prime_powers_each((n,), t)[0]))
+
+
+def _prime_powers_each(elems: Sequence[int], t: FactorTable) -> list[list[int]]:
+    """The exact prime powers of each of the ascending ``elems``, each list ascending."""
+    if elems:
+        t._check(elems[0])
+        t._check(elems[-1])
+    spf = t._spf.data
+    out = []
+    for n in elems:
+        qs = []
+        while n > 1:
+            p = q = spf[n]
+            n //= p
+            while n % p == 0:
+                n //= p
+                q *= p
+            qs.append(q)
+        qs.sort()
+        out.append(qs)
+    return out
 
 
 def largest_prime(n: int, t: FactorTable) -> int:

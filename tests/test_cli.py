@@ -97,6 +97,16 @@ def test_fourier_resource_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fourier_refuses_an_lcm_of_thousands_of_digits(tmp_path, capsys):
+    # lcm(2..12000) has over 5,000 digits, past what int-to-str conversion allows:
+    # the refusal names its size, not the number
+    f = tmp_path / "to12000.txt"
+    f.write_text("\n".join(map(str, range(2, 12001))) + "\n")
+    assert main(["fourier", str(f), "--k", "1"]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"egyfrac: error: lcm of at least \d+ bits exceeds bound 1000000\n", err), err
+
+
 def test_fourier_refused_count_exit(tmp_path, capsys):
     f = tmp_path / "divisors.txt"
     f.write_text("\n".join(map(str, divisors_above_one(720720)[:80])) + "\n")

@@ -98,6 +98,21 @@ def test_every_entry_point_refuses_past_the_lcm_bound_before_forming_products(mo
         arc_classify(divisors_above_one(720720)[:80], 1, 1.0)
 
 
+def test_lcm_check_stops_past_its_cap(monkeypatch):
+    # the check folds 64 elements at a time and gives up past max(2^64, bound): the first
+    # block of 2..12000 already has lcm(2..65), 90 bits, and no later block is folded
+    _forbid_kernel(monkeypatch)
+    with pytest.raises(ResourceLimitError, match="^lcm of at least 90 bits exceeds bound 1000000$"):
+        orthogonality_sum(range(2, 12001), 1)
+    # a bound above 2^64 raises the cap with it: lcm(2..65) is below it, lcm(2..129) above,
+    # and lcm(2..59), of 85 bits, passes the lcm check to be refused by the phase reduction
+    monkeypatch.setattr(egyfrac.fourier, "_LCM_BOUND", 10**30)
+    with pytest.raises(ResourceLimitError, match=f"^lcm of at least {math.lcm(*range(2, 130)).bit_length()} bits"):
+        orthogonality_sum(range(2, 200), 1)
+    with pytest.raises(ResourceLimitError, match="64-bit phase reduction"):
+        orthogonality_sum(range(2, 60), 1)
+
+
 def _sum_outcome(sum_fn, x):
     """float.hex of the sum, or the class of the error it raised."""
     try:

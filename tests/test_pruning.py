@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import egyfrac.pruning
 from egyfrac import (
     DomainError,
     InfeasibleError,
     IntSet,
+    build_table,
     exact_prime_powers,
     ppowers_in_set,
     prune_ppower,
@@ -88,6 +90,30 @@ def test_pruning_rejects_element_one(small_table):
         prune_ppower([1, 2], 0, small_table)
     with pytest.raises(DomainError):
         prune_to_window([1, 2], 1, 0, 1, small_table)
+
+
+def test_prune_to_window_names_the_size_of_a_huge_sum():
+    # the sum over 1000..19999 has a denominator of over 4,300 digits, past what
+    # int-to-str conversion allows: the refusal gives bit lengths, not the number
+    t = build_table(20_000)
+    with pytest.raises(DomainError, match=r"^need recip_sum\(A\) >= alpha, got a \d+-bit/\d+-bit fraction < 10$"):
+        prune_to_window(range(1000, 20000), 10, 0, 1000, t)
+
+
+def test_prune_to_window_builds_no_class_index_at_theta_zero(small_table, monkeypatch):
+    # no class weighs less than 0, so at theta = 0 the trimmer needs no decomposition and no index
+    def index_built(*args, **kwargs):
+        raise AssertionError("a class index was built at theta = 0")
+
+    monkeypatch.setattr(egyfrac.pruning, "build_decomposition", index_built)
+    monkeypatch.setattr(egyfrac.pruning, "_ClassIndex", index_built)
+    tr = prune_to_window([4, 5, 6, 20], Fraction(1, 2), 0, 4, small_table)
+    assert tr.removed_elements == (4,) and tr.final == IntSet([5, 6, 20])
+    # the element-1 refusal and the emptied-set error need no decomposition either
+    with pytest.raises(DomainError, match="^element 1 has no prime-power divisors$"):
+        prune_to_window([1, 2], 1, 0, 1, small_table)
+    with pytest.raises(InfeasibleError, match="emptied the set"):
+        prune_to_window([4, 6], 0, 0, 4, small_table)
 
 
 def test_prune_to_window_infeasible(small_table):
