@@ -13,26 +13,18 @@ from .rational import (
     as_intset,
     format_rational,
     fraction_sum,
-    lcm_set,
     parse_rational,
     recip_sum,
 )
 from .sieve import (
     FactorTable,
     build_table,
-    exact_prime_powers,
     factorize,
-    is_prime_power,
-    largest_prime,
     omega,
 )
 from .decomposition import (
     Decomposition,
     build_decomposition,
-    ppowers_in_set,
-    qsum_check,
-    rec_sum_q,
-    subset_aq,
 )
 from .filters import (
     has_divisor_pair,
@@ -40,7 +32,6 @@ from .filters import (
     mertens_q_sum,
     omega_in_range,
     passes_smoothness,
-    prime_powers_upto,
     sieve_survivors,
 )
 from .solver import (
@@ -59,7 +50,6 @@ from .solver import (
 from .fourier import (
     ArcDiagnostics,
     arc_classify,
-    cosine_weight,
     fourier_count,
     orthogonality_sum,
 )
@@ -96,20 +86,15 @@ __all__ = [
     "build_decomposition",
     "build_table",
     "combine_solutions",
-    "cosine_weight",
     "count_integral",
     "count_subsets",
-    "exact_prime_powers",
     "factorize",
     "find_subset",
     "format_rational",
     "fourier_count",
     "fraction_sum",
     "has_divisor_pair",
-    "is_prime_power",
     "lambda_exact",
-    "largest_prime",
-    "lcm_set",
     "mertens_product",
     "mertens_q_sum",
     "omega",
@@ -118,16 +103,11 @@ __all__ = [
     "parse_rational",
     "passes_smoothness",
     "pomerance_set",
-    "ppowers_in_set",
-    "prime_powers_upto",
     "prune_ppower",
     "prune_to_window",
-    "qsum_check",
-    "rec_sum_q",
     "recip_sum",
     "reduce_to_core",
     "sieve_survivors",
-    "subset_aq",
     "verify_report",
     "verify_solution_free",
 ]

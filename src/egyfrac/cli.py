@@ -273,11 +273,13 @@ def _experiment_prune_demo(args):
         pool.append(n)
     stages = []
     current = IntSet(pool)
+    # the pool's exact reciprocal sum, carried from each pruned stage's r_final
+    mass = recip_sum(current)
     ds = list(range(math.ceil(args.y), max(math.ceil(args.y), math.floor(args.z / 4)) + 1))
     for d in ds:
         alpha = Fraction(2, d)
         stage: dict = {"d": d, "alpha": format_rational(alpha), "input_size": len(current)}
-        if recip_sum(current) < alpha:
+        if mass < alpha:
             stage["outcome"] = "skipped: pool mass below target"
             stages.append(stage)
             continue
@@ -287,7 +289,7 @@ def _experiment_prune_demo(args):
             stage["outcome"] = f"infeasible: {exc}"
             stages.append(stage)
             break
-        current = trace.final
+        current, mass = trace.final, trace.r_final
         stage["outcome"] = "pruned"
         stage["trace"] = trace.to_json_dict()
         try:

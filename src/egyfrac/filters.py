@@ -63,20 +63,6 @@ def sieve_survivors(lo: int, hi: int, y: float, z: float, t: FactorTable) -> Int
     return IntSet._sorted(tuple((np.flatnonzero(np.frombuffer(alive, dtype=np.uint8)) + lo).tolist()))
 
 
-def prime_powers_upto(X: int, t: FactorTable) -> list[int]:
-    """All prime powers p^r <= X, ascending."""
-    if X > t.bound:
-        raise RangeError(f"X={X} exceeds table bound {t.bound}")
-    out = []
-    for p in t.primes_between(2, X):
-        pk = p
-        while pk <= X:
-            out.append(pk)
-            pk *= p
-    out.sort()
-    return out
-
-
 def mertens_q_sum(X: int, t: FactorTable) -> Fraction:
     """Exact sum of 1/q over all prime powers q <= X.
 

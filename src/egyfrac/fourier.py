@@ -293,19 +293,6 @@ def fourier_count(
     return value, rounded
 
 
-def cosine_weight(B: SetLike, k: int, h: int) -> float:
-    """The damping weight C(B; h) = prod over n in B of |cos(pi k h / n)|."""
-    B = as_intset(B)
-    prod = 1.0
-    for n in B:
-        r = (k * h) % n
-        r = min(r, n - r)
-        if 2 * r == n:
-            return 0.0
-        prod *= abs(math.cos(math.pi * r / n))
-    return prod
-
-
 def arc_classify(
     A: SetLike,
     k: int,

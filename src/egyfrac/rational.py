@@ -1,8 +1,8 @@
 """Exact rational arithmetic over finite sets of positive integers.
 
-The two workhorses are ``recip_sum`` (the reciprocal sum of a set, computed
-exactly) and ``lcm_set``.  All rational values are ``fractions.Fraction``
-instances, which are always stored reduced with a positive denominator.
+The workhorse is ``recip_sum``, the reciprocal sum of a set, computed
+exactly.  All rational values are ``fractions.Fraction`` instances, which
+are always stored reduced with a positive denominator.
 
 Sums go through one kernel, ``pair_sum``, a ``balanced_merge`` that
 divides out the gcd of the two denominators at each step: small
@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Iterator, TypeVar, Union
 import numpy as np
 
 from .errors import DomainError
+from .sieve import build_table
 
 SetLike = Union["IntSet", Iterable[int]]
 _T = TypeVar("_T")
@@ -256,8 +257,6 @@ def _split_recip_sum(elems: tuple[int, ...]) -> Fraction:
     lcm(b, L) * P.  No prime of P divides the joined numerator, so the one
     reducing gcd is taken against lcm(b, L), which has no prime above B.
     """
-    from .sieve import build_table  # sieve imports this module
-
     top = elems[-1]
     root = math.isqrt(top)
     values = np.array(elems, dtype=np.int64)
@@ -279,12 +278,6 @@ def _split_recip_sum(elems: tuple[int, ...]) -> Fraction:
     num, den = _gcd_add((a, b), (num, L * den))
     g = math.gcd(num, math.lcm(b, L))
     return _reduced_fraction(num // g, den // g)
-
-
-def lcm_set(A: SetLike) -> int:
-    """Least common multiple of all elements; 1 for the empty set."""
-    A = as_intset(A)
-    return math.lcm(*A.elements)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -7,7 +7,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError, RangeError, ResourceLimitError
-from .rational import IntSet
 
 # Ceiling on table size: int32 entries, roughly 256 MB.
 _MAX_ENTRIES = 64_000_000
@@ -38,10 +37,6 @@ class FactorTable:
     def spf(self, n: int) -> int:
         self._check(n)
         return self._spf.data[n]
-
-    def is_prime(self, n: int) -> bool:
-        self._check(n)
-        return self._spf.data[n] == n
 
     @property
     def primes(self) -> np.ndarray:
@@ -133,11 +128,6 @@ def omega(n: int, t: FactorTable) -> int:
     return len(factorize(n, t))
 
 
-def exact_prime_powers(n: int, t: FactorTable) -> IntSet:
-    """The set {p^r : p^r divides n, gcd(p^r, n/p^r) = 1}, one per prime."""
-    return IntSet._sorted(tuple(_prime_powers_each((n,), t)[0]))
-
-
 def _prime_powers_each(elems: Sequence[int], t: FactorTable) -> list[list[int]]:
     """The exact prime powers of each of the ascending ``elems``, each list ascending."""
     if elems:
@@ -157,16 +147,6 @@ def _prime_powers_each(elems: Sequence[int], t: FactorTable) -> list[list[int]]:
         qs.sort()
         out.append(qs)
     return out
-
-
-def largest_prime(n: int, t: FactorTable) -> int:
-    """The largest prime dividing n."""
-    return factorize(n, t)[-1][0]
-
-
-def is_prime_power(q: int) -> bool:
-    """True iff q = p^r for a prime p and r >= 1 (pure trial division)."""
-    return q >= 2 and len(_trial_factorize(q)) == 1
 
 
 def factorize_all(elems: Sequence[int]) -> dict[int, Factorization]:

@@ -101,8 +101,8 @@ class SolverResult:
 
     ``nodes_explored`` counts, for dfs_bnb, the nodes visited, or
     node_budget + 1 when the budget cuts the search; for meet_middle over
-    k elements, 2^ceil(k/2) + 2^floor(k/2) - 2, or node_budget when it
-    refuses before enumerating; for residue_dp, |A|.  It is 0 when
+    k elements, 2^ceil(k/2) + 2^floor(k/2) - 2, refused before enumerating
+    when that passes node_budget; for residue_dp, |A|.  It is 0 when
     ``_scaled`` rules the target out before any search.
     """
 
@@ -286,10 +286,10 @@ def _subset(half: Sequence[int], j: int) -> tuple[int, ...]:
 
 def _find_meet(elems: Sequence[int], weights: Sequence[int], T: int, cfg: SolverConfig) -> SolverResult:
     left, right = _alternating_split(elems)
-    if 2 ** len(left) + 2 ** len(right) > cfg.node_budget:
-        return SolverResult(SolverStatus.BUDGET_EXCEEDED, None, cfg.node_budget)
     # each element of a half spends one node per sum it adds
     nodes = 2 ** len(left) + 2 ** len(right) - 2
+    if nodes > cfg.node_budget:
+        return _result(None, nodes, cfg.node_budget)
     order, lo, hi = _meet(weights, T, sum(weights), None)
     best: Optional[tuple[int, ...]] = None
     for jr in np.flatnonzero(hi > lo).tolist():

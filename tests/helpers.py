@@ -89,6 +89,33 @@ def trial_is_prime(n: int) -> bool:
     return n >= 2 and trial_factorize(n) == [(n, 1)]
 
 
+def trial_prime_powers(n: int) -> list[int]:
+    """The exact prime-power divisors p^r of n, one per prime, ascending by p."""
+    return [p**r for p, r in trial_factorize(n)]
+
+
+def fraction_masses(S) -> dict[int, Fraction]:
+    """Every class mass of S, the sum of q/n over the n with q an exact
+    prime-power divisor, each a Fraction accumulated left to right."""
+    masses = {}
+    for n in sorted(S):
+        for q in trial_prime_powers(n):
+            masses[q] = masses.get(q, Fraction(0)) + Fraction(q, n)
+    return masses
+
+
+def cosine_weight(B, k: int, h: int) -> float:
+    """The damping weight C(B; h) = prod over n in B of |cos(pi k h / n)|."""
+    prod = 1.0
+    for n in sorted(B):
+        r = (k * h) % n
+        r = min(r, n - r)
+        if 2 * r == n:
+            return 0.0
+        prod *= abs(math.cos(math.pi * r / n))
+    return prod
+
+
 def exhaustive_lambda(N: int) -> Fraction:
     """Maximum reciprocal sum of a solution-free subset of {1..N}, by full
     enumeration over subsets of {2..N} with superset-closure marking.
@@ -214,10 +241,10 @@ def reference_find_meet(A, target, budget: int, deterministic: bool = True):
     if reference_unreachable(elems, target):
         return "exhausted_none", None, 0
     left, right = elems[0::2], elems[1::2]
-    if 2 ** len(left) + 2 ** len(right) > budget:
-        return "budget_exceeded", None, budget
     # each element of a half spends one node per sum it adds
     nodes = 2 ** len(left) + 2 ** len(right) - 2
+    if nodes > budget:
+        return "budget_exceeded", None, nodes
     left_sums = {}
     for s, subset in reference_enumerate_sums(left):
         left_sums.setdefault(s, []).append(subset)

@@ -13,7 +13,7 @@ from egyfrac import (
     SolverConfig,
     SolverStatus,
     Strategy,
-    cosine_weight,
+    build_decomposition,
     count_integral,
     count_subsets,
     find_subset,
@@ -22,16 +22,13 @@ from egyfrac import (
     mertens_q_sum,
     omega,
     pomerance_set,
-    ppowers_in_set,
     prune_ppower,
     prune_to_window,
-    qsum_check,
-    rec_sum_q,
     recip_sum,
     sieve_survivors,
     verify_solution_free,
 )
-from helpers import exhaustive_lambda, random_lcm_capped_set
+from helpers import cosine_weight, exhaustive_lambda, fraction_masses, random_lcm_capped_set
 
 
 def _report(criterion: str, ok: bool, details: str) -> None:
@@ -155,11 +152,12 @@ def test_criterion_6_pruning_postconditions(table):
         A = IntSet(rng.sample(range(2, 10_000), rng.randint(1, 50)))
         theta = thetas[i % 4]
         tr = prune_ppower(A, theta, table)
-        for q in (ppowers_in_set(tr.final, table) if tr.final else ()):  # per-class floor
-            if rec_sum_q(tr.final, q, table) < theta:
+        for mass in fraction_masses(tr.final).values():  # per-class floor
+            if mass < theta:
                 violations += 1
         if theta > 0:
-            if not tr.r_final > tr.r_initial - theta * qsum_check(A, table):  # mass-loss bound
+            qsum = sum((Fraction(1, q) for q in fraction_masses(A)), Fraction(0))
+            if not tr.r_final > tr.r_initial - theta * qsum:  # mass-loss bound
                 violations += 1
         elif tr.r_final != tr.r_initial:
             violations += 1
@@ -185,7 +183,9 @@ def test_criterion_7_double_counting(table):
     failures = 0
     for _ in range(1000):
         A = IntSet(rng.sample(range(2, 100_001), rng.randint(1, 40)))
-        lhs = sum((rec_sum_q(A, q, table) / q for q in ppowers_in_set(A, table)), Fraction(0))
+        # sum over q of mass(A; q)/q: each class member n adds (q/n)/q = 1/n
+        parts = build_decomposition(A, table).parts
+        lhs = sum((Fraction(1, n) for members in parts.values() for n in members), Fraction(0))
         rhs = sum((Fraction(omega(n, table), n) for n in A), Fraction(0))
         if lhs != rhs:
             failures += 1

@@ -14,7 +14,6 @@ from egyfrac import (
     mertens_q_sum,
     omega_in_range,
     passes_smoothness,
-    prime_powers_upto,
     sieve_survivors,
 )
 from helpers import trial_factorize, trial_is_prime
@@ -92,16 +91,6 @@ def test_sieve_survivors_window_monotone(small_table):
     base = sieve_survivors(1, 2000, 5, 20, small_table)
     wider = sieve_survivors(1, 2000, 3, 50, small_table)
     assert set(wider.elements) <= set(base.elements)
-
-
-def test_prime_powers_upto(small_table):
-    assert prime_powers_upto(10, small_table) == [2, 3, 4, 5, 7, 8, 9]
-    assert all(
-        len({p for p, _ in trial_factorize(q)}) == 1 for q in prime_powers_upto(200, small_table)
-    )
-    assert [q for q in range(2, 201) if len({p for p, _ in trial_factorize(q)}) == 1] == (
-        prime_powers_upto(200, small_table)
-    )
 
 
 def test_mertens_q_sum_examples(small_table):

@@ -16,14 +16,12 @@ from egyfrac import (
     NumericalInstabilityError,
     ResourceLimitError,
     arc_classify,
-    cosine_weight,
     count_integral,
     fourier_count,
-    lcm_set,
     orthogonality_sum,
     recip_sum,
 )
-from helpers import divisors_above_one, random_lcm_capped_set
+from helpers import cosine_weight, divisors_above_one, random_lcm_capped_set
 
 
 def test_fourier_count_examples():
@@ -175,7 +173,7 @@ def test_exact_sum_falls_back_only_when_rounding_is_undecided(monkeypatch):
 
 def _reference_sum(A, k):
     """The orthogonality sum with one complex exp per element and frequency."""
-    L = lcm_set(A)
+    L = math.lcm(*A)
     hs = np.arange(-((L - 1) // 2), L // 2 + 1, dtype=np.int64)
     partials = []
     for i in range(0, len(hs), egyfrac.fourier._CHUNK):
@@ -189,7 +187,7 @@ def _reference_sum(A, k):
 
 def _reference_weights(A, k):
     """C(A; h) for every nonzero frequency, one cosine per element and frequency."""
-    L = lcm_set(A)
+    L = math.lcm(*A)
     hs = np.arange(-((L - 1) // 2), L // 2 + 1, dtype=np.int64)
     hs = hs[hs != 0]
     weights = np.ones(len(hs))
@@ -247,7 +245,7 @@ def test_kernel_where_rotated_rows_repeat():
 def test_kernel_across_three_chunks(threads):
     # L = 360360 spans three chunks, and the chunk length 2^17 is a multiple of no odd element
     A = divisors_above_one(360360)[:16]
-    assert lcm_set(A) == 360360 and 2 * egyfrac.fourier._CHUNK < 360360 < 3 * egyfrac.fourier._CHUNK
+    assert math.lcm(*A) == 360360 and 2 * egyfrac.fourier._CHUNK < 360360 < 3 * egyfrac.fourier._CHUNK
     _assert_kernel_matches_reference(A, 1, threads, weights=threads == 1)  # the weights run on one thread
     _assert_kernel_matches_reference(A, 2, threads, weights=False)
 
@@ -279,7 +277,7 @@ _ARC_PEAK_BYTES_PER_FREQ = 50
 @pytest.mark.parametrize("N,m", [(27720, 13), (55440, 14)])
 def test_arc_byte_budget_covers_the_tracemalloc_peak(N, m):
     A = divisors_above_one(N)[:m]
-    assert lcm_set(A) == N
+    assert math.lcm(*A) == N
     tracemalloc.start()
     try:
         arc_classify(A, 1, 1.0)
@@ -363,7 +361,7 @@ def test_arc_cover_and_weights():
         k = rng.choice([1, 2, 3])
         K = rng.choice([0.0, 1.0, 2.0, 5.0])
         d = arc_classify(A, k, K)
-        L = lcm_set(A)
+        L = math.lcm(*A)
         J = {h for h in range(-(L // 2) + (1 if L % 2 == 0 else 0), L // 2 + 1)} - {0}
         assert set(d.major_hs) | set(d.minor_hs) == J
         assert not set(d.major_hs) & set(d.minor_hs)
@@ -390,7 +388,7 @@ def test_major_arc_contribution_nonnegative():
     for A, k in cases:
         M = min(A)
         assert Fraction(2, k) - Fraction(1, M) <= recip_sum(A) < Fraction(2, k)
-        assert lcm_set(A) % k == 0
+        assert math.lcm(*A) % k == 0
         d = arc_classify(A, k, M / 2)
         total = 0.0
         L = d.L

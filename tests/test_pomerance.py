@@ -13,19 +13,19 @@ from egyfrac import (
     build_table,
     find_subset,
     lambda_exact,
-    largest_prime,
     pomerance_set,
     recip_sum,
     verify_report,
     verify_solution_free,
 )
+from helpers import trial_factorize
 
 
 def test_pomerance_set_examples(small_table):
     # oracle: check p*ln(p) > C*n directly for every candidate
     expected = []
     for n in range(2, 11):
-        p = largest_prime(n, small_table)
+        p = trial_factorize(n)[-1][0]
         if p * math.log(p) > n:
             expected.append(n)
     assert expected == [3, 5, 7]
@@ -53,7 +53,7 @@ def test_membership_soundness(small_table):
     for N, C in ((500, 1.5), (10_000, 1)):
         members = set(pomerance_set(N, C, small_table).members)
         for n in range(2, N + 1):
-            p = largest_prime(n, small_table)
+            p = trial_factorize(n)[-1][0]
             assert (n in members) == (p * math.log(p) > C * n)
 
 

@@ -11,15 +11,11 @@ from egyfrac import (
     InfeasibleError,
     IntSet,
     build_table,
-    exact_prime_powers,
-    ppowers_in_set,
     prune_ppower,
     prune_to_window,
-    qsum_check,
-    rec_sum_q,
     recip_sum,
 )
-from helpers import trial_factorize
+from helpers import fraction_masses, trial_prime_powers
 
 
 def test_prune_ppower_examples(small_table):
@@ -42,10 +38,10 @@ def test_prune_ppower_postconditions(small_table):
         A = IntSet(rng.sample(range(2, 10_000), rng.randint(1, 50)))
         for theta in (Fraction(0), Fraction(1, 10), Fraction(1, 2), Fraction(1)):
             tr = prune_ppower(A, theta, small_table)
-            for q in ppowers_in_set(tr.final, small_table):
-                assert rec_sum_q(tr.final, q, small_table) >= theta
+            assert all(mass >= theta for mass in fraction_masses(tr.final).values())
             if theta > 0:
-                assert tr.r_final > tr.r_initial - theta * qsum_check(A, small_table)
+                qsum = sum((Fraction(1, q) for q in fraction_masses(A)), Fraction(0))
+                assert tr.r_final > tr.r_initial - theta * qsum
             else:
                 assert tr.r_final == tr.r_initial
             assert len(set(tr.removed_qs)) == len(tr.removed_qs)
@@ -139,21 +135,12 @@ def test_prune_to_window_randomized(small_table):
         assert tr.final.union(tr.removed_elements) == A
 
 
-def _fraction_masses(S, t):
-    """Every class mass of S, each a Fraction accumulated left to right."""
-    masses = {}
-    for n in sorted(S):
-        for q in exact_prime_powers(n, t):
-            masses[q] = masses.get(q, Fraction(0)) + Fraction(q, n)
-    return masses
-
-
-def _prune_ppower_reference(A, theta, t):
+def _prune_ppower_reference(A, theta):
     """Delete the class of the smallest light prime power, with every mass
     recomputed as a Fraction after each deletion."""
     working = sorted(A)
     removed_qs, removed = [], []
-    while light := [q for q, m in _fraction_masses(working, t).items() if m < theta]:
+    while light := [q for q, m in fraction_masses(working).items() if m < theta]:
         q = min(light)
         victims = [n for n in working if n % q == 0 and math.gcd(q, n // q) == 1]
         removed_qs.append(q)
@@ -162,24 +149,24 @@ def _prune_ppower_reference(A, theta, t):
     return tuple(removed_qs), tuple(removed), IntSet(working), sum((Fraction(1, n) for n in working), Fraction(0))
 
 
-def _prune_to_window_reference(A, alpha, theta, M, t):
+def _prune_to_window_reference(A, alpha, theta, M):
     """The window trimmer re-derived from scratch at every step: the
     pre-prune reruns the prune_ppower reference at 2*theta on the whole
     working set, and the floor recomputes every class mass."""
-    if theta > 0 and any(q > M * theta for q in _fraction_masses(A, t)):
+    if theta > 0 and any(q > M * theta for q in fraction_masses(A)):
         raise DomainError("prime power exceeds M*theta")
     working = sorted(A)
     r = sum((Fraction(1, n) for n in working), Fraction(0))
     removed = []
     while r >= alpha:
-        survivors = _prune_ppower_reference(working, 2 * theta, t)[2]
+        survivors = _prune_ppower_reference(working, 2 * theta)[2]
         if not survivors:
             raise InfeasibleError("pre-prune emptied the set")
         x = survivors.elements[0]
         working.remove(x)
         r -= Fraction(1, x)
         removed.append(x)
-        if any(m < theta for m in _fraction_masses(working, t).values()):
+        if any(m < theta for m in fraction_masses(working).values()):
             raise InfeasibleError("floor lost")
     return tuple(removed), IntSet(working), r
 
@@ -203,10 +190,10 @@ def test_prune_to_window_theta_matches_reference(small_table):
         M = rng.choice([280, 300, 320])
         cap = rng.choice([13, 17])
         theta = Fraction(cap, M)
-        pool = [n for n in range(M, 10 * M) if max(exact_prime_powers(n, small_table)) <= cap]
+        pool = [n for n in range(M, 10 * M) if max(trial_prime_powers(n)) <= cap]
         A = IntSet(rng.sample(pool, rng.randint(len(pool) * 19 // 20, len(pool))))
         alpha = recip_sum(A) - Fraction(rng.randint(0, 8), M)
-        expected = _outcome(_prune_to_window_reference, A, alpha, theta, M, small_table)
+        expected = _outcome(_prune_to_window_reference, A, alpha, theta, M)
         assert _outcome(prune_to_window, A, alpha, theta, M, small_table) == expected, (A, alpha, theta)
         outcomes.append(expected)
     succeeded = [o for o in outcomes if o != "infeasible"]
@@ -238,16 +225,16 @@ def test_a_class_whose_mass_equals_theta_is_not_light(small_table):
 )
 def test_prune_ppower_matches_fraction_reference(small_table, xs, pick, other):
     A = IntSet(xs)
-    masses = sorted(set(_fraction_masses(A, small_table).values()))
+    masses = sorted(set(fraction_masses(A).values()))
     # a theta equal to some class mass, which leaves that class standing, and one drawn freely
     for theta in (masses[pick % len(masses)], other):
         tr = prune_ppower(A, theta, small_table)
         got = (tr.removed_qs, tr.removed_elements, tr.final, tr.r_final)
-        assert got == _prune_ppower_reference(A, theta, small_table)
+        assert got == _prune_ppower_reference(A, theta)
         assert tr.r_initial == recip_sum(A)
 
 
-_WINDOW_POOL = [n for n in range(280, 2800) if max(p**a for p, a in trial_factorize(n)) <= 13]
+_WINDOW_POOL = [n for n in range(280, 2800) if max(trial_prime_powers(n)) <= 13]
 
 
 @settings(max_examples=60, deadline=None)
@@ -262,9 +249,9 @@ def test_prune_to_window_matches_fraction_reference(small_table, dropped, cut, k
     # a theta of half a class mass puts that class exactly at the pre-prune's 2*theta
     M = 280
     A = IntSet(n for n in _WINDOW_POOL if n not in dropped)
-    masses = sorted(set(_fraction_masses(A, small_table).values()))
+    masses = sorted(set(fraction_masses(A).values()))
     mass = masses[pick % len(masses)]
     theta = {"zero": Fraction(0), "cap": Fraction(13, M), "half-mass": mass / 2, "mass": mass}[kind]
     alpha = recip_sum(A) - Fraction(cut, M)
-    expected = _outcome(_prune_to_window_reference, A, alpha, theta, M, small_table)
+    expected = _outcome(_prune_to_window_reference, A, alpha, theta, M)
     assert _outcome(prune_to_window, A, alpha, theta, M, small_table) == expected

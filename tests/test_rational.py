@@ -14,7 +14,6 @@ from egyfrac import (
     build_table,
     format_rational,
     fraction_sum,
-    lcm_set,
     parse_rational,
     pomerance_set,
     prune_ppower,
@@ -37,17 +36,6 @@ def test_recip_sum_examples():
     assert recip_sum([2, 3, 4, 5]) == oracle
 
 
-def test_lcm_examples():
-    assert lcm_set([2, 3, 6]) == 6
-    assert lcm_set([]) == 1
-    # oracle: pairwise lcm folding
-    oracle = 1
-    for n in [4, 6, 10]:
-        oracle = math.lcm(oracle, n)
-    assert oracle == 60
-    assert lcm_set([4, 6, 10]) == oracle
-
-
 @given(small_sets, small_sets)
 def test_disjoint_additivity(xs, ys):
     a = IntSet(xs)
@@ -58,7 +46,7 @@ def test_disjoint_additivity(xs, ys):
 @given(small_sets)
 def test_recip_times_lcm_is_integer(xs):
     a = IntSet(xs)
-    assert (recip_sum(a) * lcm_set(a)).denominator == 1
+    assert (recip_sum(a) * math.lcm(*a)).denominator == 1
 
 
 @given(small_sets)

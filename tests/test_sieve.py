@@ -7,17 +7,14 @@ import pytest
 import egyfrac.sieve
 from egyfrac import (
     DomainError,
-    IntSet,
     RangeError,
     ResourceLimitError,
     build_table,
-    exact_prime_powers,
     factorize,
-    is_prime_power,
-    largest_prime,
     omega,
 )
-from helpers import trial_factorize, trial_is_prime
+from egyfrac.sieve import _prime_powers_each
+from helpers import trial_factorize, trial_is_prime, trial_prime_powers
 
 
 def test_spf_examples():
@@ -25,7 +22,7 @@ def test_spf_examples():
     assert t.spf(10) == 2
     assert t.spf(9) == 3
     assert t.spf(7) == 7
-    assert t.is_prime(7) and not t.is_prime(9)
+    assert [n for n in range(2, 11) if t.spf(n) == n] == [n for n in range(2, 11) if trial_is_prime(n)]
 
 
 def test_factorize_examples(small_table):
@@ -49,14 +46,14 @@ def test_factorize_all_matches_trial_division(elems):
 
 
 def test_exact_prime_powers_examples(small_table):
-    assert exact_prime_powers(12, small_table) == IntSet([4, 3])
-    assert exact_prime_powers(8, small_table) == IntSet([8])
-    assert exact_prime_powers(360, small_table) == IntSet([8, 9, 5])
+    assert _prime_powers_each([8, 12, 360], small_table) == [[8], [3, 4], [5, 8, 9]]
+    assert _prime_powers_each([], small_table) == []
 
 
 def test_prime_power_product_and_count(small_table):
-    for n in range(2, 10_001):
-        qs = exact_prime_powers(n, small_table)
+    elems = range(2, 10_001)
+    for n, qs in zip(elems, _prime_powers_each(elems, small_table)):
+        assert qs == sorted(trial_prime_powers(n))
         assert math.prod(qs) == n
         assert len(qs) == omega(n, small_table)
 
@@ -78,14 +75,8 @@ def test_largest_primes_matches_trial_division(small_table):
     assert np.array_equal(values, before)  # peeled on a copy
 
 
-def test_largest_prime_examples(small_table):
-    assert largest_prime(12, small_table) == 3
-    assert largest_prime(7, small_table) == 7
-    assert largest_prime(100, small_table) == 5
-
-
 def test_domain_and_range_errors(small_table, monkeypatch):
-    for fn in (factorize, omega, exact_prime_powers, largest_prime):
+    for fn in (factorize, omega, lambda n, t: _prime_powers_each([n], t)):
         with pytest.raises(DomainError):
             fn(1, small_table)
         with pytest.raises(RangeError):
@@ -101,8 +92,8 @@ def test_spf_invariants(small_table):
     for n in range(2, 10_001):
         p = small_table.spf(n)
         assert n % p == 0
-        assert small_table.is_prime(p)
-        assert small_table.is_prime(n) == (p == n)
+        assert trial_is_prime(p)
+        assert trial_is_prime(n) == (p == n)
 
 
 def test_primes_between(small_table):
@@ -115,17 +106,6 @@ def test_primes_list_starts_at_two():
     # spf(0) == 0 once made 0 look like a fixed point of spf
     assert build_table(10).primes.tolist() == [2, 3, 5, 7]
     assert build_table(2).primes.tolist() == [2]
-
-
-def test_is_prime_power():
-    assert is_prime_power(8) and is_prime_power(7) and is_prime_power(9)
-    assert not is_prime_power(1)
-    assert not is_prime_power(6)
-    assert not is_prime_power(12)
-    for q in range(10_001):
-        assert is_prime_power(q) == (q >= 2 and len(trial_factorize(q)) == 1), q
-    assert is_prime_power(10007**3)
-    assert not is_prime_power(10007 * 10009)
 
 
 @pytest.mark.parametrize("count,ratio", [(255, 8), (256, 8), (256, 9), (1024, 8), (1024, 64)])

@@ -109,6 +109,14 @@ def test_budget_exhaustion_reported_as_status():
     assert res.status == SolverStatus.BUDGET_EXCEEDED
 
 
+def test_meet_refuses_only_past_the_budget_it_would_spend():
+    # two halves of 11 elements spend 2^11 + 2^11 - 2 = 4094 nodes: a budget of
+    # 4094 runs the search, and one of 4093 refuses it, reporting those 4094 nodes
+    for budget, expected in ((4094, SolverStatus.FOUND), (4093, SolverStatus.BUDGET_EXCEEDED)):
+        res = find_subset(range(2, 24), 1, SolverConfig(strategy=Strategy.MEET_MIDDLE, node_budget=budget))
+        assert (res.status, res.nodes_explored) == (expected, 4094), budget
+
+
 def test_count_subsets_examples():
     assert count_subsets([2, 3, 4, 6, 12], 1) == 2
     assert brute_subsets_with_sum([2, 3, 4, 6, 12], 1) == [(2, 3, 6), (2, 4, 6, 12)]
