@@ -30,6 +30,23 @@ of their class carries to P*t, and repeats until no prime removes
 anything.  An empty core proves that no subset reaches t without any
 search.
 
+A large prime, p with p*p > max(A), divides each member of its class
+once, n = p*m with m < p, so v = 1 and P = p; and when p does not divide
+t's denominator, the residue P*t is 0 mod p.  No element has two large
+primes, so their classes are disjoint, and a removal from one sends back
+only primes below p.  The loop pops the largest prime first, so it tests
+each large prime once, on its class as built, before any other prime.
+When every prime of t's denominator is at most sqrt(max(A)),
+``_large_prime_pass`` makes those first tests up front, in the same order
+with the same skip rule, and the loop runs on the rest: the small primes,
+the denominator's, and any large prime whose class a later step shrinks.
+The pass decides a group of same-size classes in one numpy pass over
+their 2^k subset sums mod p (``_enumerate_sums`` on a (G, k) array) from
+``_PASS_MIN_CLASSES`` = 8 classes of at most ``_PASS_MAX_MEMBERS`` = 12
+members on, and sends smaller groups and larger classes through
+``_dead_members``; its docstring gives the timings behind both
+crossovers.
+
 ``lambda_exact`` reduces [2, N] with target 1.  The elements U it removes
 lie in no solution, so a solution-free set stays solution-free when U is
 added, and lambda(N) = R(U) + lambda(core).  Its branch and bound runs on
@@ -39,8 +56,9 @@ int is set iff some chosen elements sum to 1 - 1/n, that is, iff adding n
 would complete a solution; n is included only while the bit is clear.
 
 Every DP table, a run of sets from the one reachability kernel
-``_subset_sums`` or a count array of its counting twin ``_count_sums``, is
-checked against ``_BYTE_BUDGET`` before it is allocated.  ``_count_sums``
+``_subset_sums``, a count array of its counting twin ``_count_sums`` or a
+block of the large-prime pass, is checked against ``_BYTE_BUDGET`` before
+it is allocated.  ``_count_sums``
 meets in the middle up to ``_EXHAUSTIVE_BOUND`` weights and runs its DP
 past them; ``_meet``, over sorted numpy arrays of subset sums, is the one
 meet in the middle of that count and of the ``meet_middle`` search.
@@ -67,6 +85,11 @@ _EXHAUSTIVE_BOUND = 24
 # the bytes a DP table may hold: past them the residue DP and the counters raise,
 # auto runs dfs_bnb, reduce_to_core skips a prime and lambda_exact refuses N
 _BYTE_BUDGET = 1 << 25
+# reduce_to_core decides a group of same-size large-prime classes in one numpy pass from
+# this many classes on, of at most this many members each (see _large_prime_pass)
+_PASS_MIN_CLASSES = 8
+_PASS_MAX_MEMBERS = 12
+_PASS_BLOCK_BYTES = 1 << 20
 
 
 class Strategy(str, Enum):
@@ -246,18 +269,25 @@ def _alternating_split(items: Sequence[int]) -> tuple[list[int], list[int]]:
     return list(items[0::2]), list(items[1::2])
 
 
-def _enumerate_sums(weights: Sequence[int], top: int = 0) -> np.ndarray:
-    """All 2^|weights| subset sums of the weights, as int64 when the weights'
-    total and ``top``, a bound the caller puts on what it computes from the
-    sums, are below 2^62, and as Python ints past it.
+def _enumerate_sums(weights: Sequence[int] | np.ndarray, top: int = 0) -> np.ndarray:
+    """All 2^k subset sums of k weights.
 
-    Entry j is the sum over the subset {weights[t] : bit t of j is set}: each
-    weight doubles the array, its new half the old one plus the weight.
+    ``weights`` is a sequence of k ints, enumerated as int64 when their
+    total and ``top``, a bound the caller puts on what it computes from the
+    sums, are below 2^62, and as Python ints past it; or a (G, k) int64
+    array whose rows' totals are below 2^62, enumerated row by row into a
+    (G, 2^k) array.  Entry j is the sum over the subset {weights[t] : bit t
+    of j is set}: each weight doubles the array, its new half the old one
+    plus the weight.
     """
-    dtype = np.int64 if max(sum(weights), top) < 1 << 62 else object
-    out = np.zeros(1 << len(weights), dtype=dtype)
-    for t, w in enumerate(weights):
-        np.add(out[: 1 << t], w, out=out[1 << t : 2 << t])
+    if isinstance(weights, np.ndarray):
+        rows, columns, dtype = weights.shape[:-1], weights.T[..., None], np.int64
+    else:
+        rows, columns = (), weights
+        dtype = np.int64 if max(sum(weights), top) < 1 << 62 else object
+    out = np.zeros(rows + (1 << len(columns),), dtype=dtype)
+    for t, w in enumerate(columns):
+        np.add(out[..., : 1 << t], w, out=out[..., 1 << t : 2 << t])
     return out
 
 
@@ -266,18 +296,17 @@ def _meet(weights: Sequence[int], r: int, top: int, modulus: Optional[int]) -> t
     the weights (``_enumerate_sums``, with ``top`` bounding r, the modulus
     and every sum and difference, so both halves take one dtype).
 
-    Returns (order, lo, hi): ``order`` sorts the left half's sums, and the
-    left subsets order[lo[j] : hi[j]], in no set order, are those whose sum
-    completes right subset j to r, mod ``modulus`` unless it is None.
+    Returns (left, lo, hi): ``left`` holds the left half's sums, sorted in
+    place, and left[lo[j] : hi[j]] are those that complete right subset j to
+    r, mod ``modulus`` unless it is None.
     """
     left, right = (_enumerate_sums(half, top) for half in _alternating_split(weights))
     needed = r - right
     if modulus is not None:
         left %= modulus
         needed %= modulus
-    order = np.argsort(left)
-    left = left[order]
-    return order, np.searchsorted(left, needed, side="left"), np.searchsorted(left, needed, side="right")
+    left.sort()
+    return left, np.searchsorted(left, needed, side="left"), np.searchsorted(left, needed, side="right")
 
 
 def _subset(half: Sequence[int], j: int) -> tuple[int, ...]:
@@ -290,11 +319,19 @@ def _find_meet(elems: Sequence[int], weights: Sequence[int], T: int, cfg: Solver
     nodes = 2 ** len(left) + 2 ** len(right) - 2
     if nodes > cfg.node_budget:
         return _result(None, nodes, cfg.node_budget)
-    order, lo, hi = _meet(weights, T, sum(weights), None)
+    top = sum(weights)
+    sums, lo, hi = _meet(weights, T, top, None)
+    hits = np.flatnonzero(hi > lo)
+    values = sums[lo[hits]]
+    # the left subsets with each hit value, ascending, so that the first hit does not depend on the sort
+    left_sums = _enumerate_sums(_alternating_split(weights)[0], top)
+    found = np.flatnonzero(np.isin(left_sums, values))
+    completing = defaultdict(list)
+    for jl, value in zip(found.tolist(), left_sums[found].tolist()):
+        completing[value].append(jl)
     best: Optional[tuple[int, ...]] = None
-    for jr in np.flatnonzero(hi > lo).tolist():
-        # ascending jl, so that the first hit does not depend on the sort
-        for jl in np.sort(order[lo[jr] : hi[jr]]).tolist():
+    for jr, value in zip(hits.tolist(), values.tolist()):
+        for jl in completing[value]:
             candidate = tuple(sorted(_subset(left, jl) + _subset(right, jr)))
             if not cfg.deterministic:
                 return _result(candidate, nodes, cfg.node_budget)
@@ -312,9 +349,10 @@ def _check_bytes(nbytes: int, what: str) -> None:
         raise ResourceLimitError(f"{what} would hold {nbytes} bytes, past the budget of {_BYTE_BUDGET}")
 
 
-def _sets_bytes(weights: Sequence[int], width: int, cyclic: bool = False) -> int:
+def _sets_bytes(weights: Sequence[int], width, cyclic: bool = False):
     """Bytes of the sets of ``_subset_sums``: each holds at most ``width``
-    bits, and a linear one at most the sum of its prefix plus one."""
+    bits, and a linear one at most the sum of its prefix plus one.  A cyclic
+    count takes an array of widths too, and gives an array."""
     bits = (len(weights) + 1) * width if cyclic else sum(min(width, s + 1) for s in accumulate(weights, initial=0))
     return -(-bits // 8)
 
@@ -440,20 +478,119 @@ def _dead_members(p: int, v: int, r: int, cls: dict[int, int]) -> Optional[list[
     return dead
 
 
+def _zero_sum_members(m: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """For a (G, k) array of cofactors m, row i of which is the class of the
+    prime P[i] < 2^31, a bit per member: bit j of entry i is set iff some
+    nonempty subset of row i holding member j has its reciprocals sum to 0
+    mod P[i].
+
+    The weights are c/m_j for the unit c = prod m_j, a prefix times a suffix
+    product mod P[i]: below 2^62 each, with no inverse taken.
+    """
+    G, k = m.shape
+    W = np.empty_like(m)
+    acc = np.ones(G, dtype=np.int64)
+    for j in range(k):
+        W[:, j] = acc
+        acc = acc * m[:, j] % P
+    acc[:] = 1
+    for j in range(k - 1, -1, -1):
+        W[:, j] = W[:, j] * acc % P
+        acc = acc * m[:, j] % P
+    sums = _enumerate_sums(W)
+    sums %= P[:, None]
+    # each zero sum contributes its subset's bits
+    np.multiply(sums == 0, np.arange(1 << k), out=sums)
+    return np.bitwise_or.reduce(sums, axis=1)
+
+
+def _large_prime_pass(
+    elems: Sequence[int], factors: dict[int, Factorization], root: int
+) -> dict[int, Optional[tuple[int, ...]]]:
+    """The first test of each large prime p > root = isqrt(max(elems)) on
+    its class, the members p*m with m < p (see the module docstring): the
+    dead members, ascending, or None when the test is skipped because its
+    sets would pass the byte budget.  ``elems`` is ascending, below 2^31.
+
+    Same-size classes go through ``_zero_sum_members`` together, in blocks
+    of rows whose sums and zero marks, 9 bytes a subset, fit within
+    ``_PASS_BLOCK_BYTES`` and ``_BYTE_BUDGET``; the rest through
+    ``_dead_members``.  The crossovers, measured on a 2-vCPU Xeon (best of
+    15, random classes with p from 20 up): a numpy group of 1 to 6 members
+    took 17 to 55 us at 4 to 8 classes, where ``_dead_members`` took 2.5
+    to 8 us a class for p up to 1000, and 13 to 94 us past 10^5.  So near
+    p = 1000 the two were even at 6 to 8 classes (8 classes of 4 members:
+    36 to 39 against 40 to 48 us), and past 10^5 numpy was faster from 4
+    classes on.  A numpy row costs its 2^k sums: for 32 classes near
+    p = 1000 it was faster at 9 members (191 against 436 us) and slower at
+    12 and 13 (941 against 562, 1617 against 600), though past 10^5 it was
+    faster up to 14 (3312 against 8564).  Sending every group through
+    numpy made ``experiment lambda --max 22``, whose classes come a few of
+    a size, about 2 ms slower (5 to 6 against 3.0 to 3.5 ms); with the
+    cutoff at 8 classes it stays level.  Blocks of 1 MiB, not 32, held the
+    verification of the Pomerance set at N = 10^6 to a max RSS of 152 MB,
+    not 174, at 0.67 against 0.68 to 0.71 s.
+    """
+    large: defaultdict[int, list[int]] = defaultdict(list)
+    for n in elems:
+        f = factors[n]
+        if f and f[-1][0] > root:
+            large[f[-1][0]].append(n)
+    by_size: defaultdict[int, list[int]] = defaultdict(list)
+    for p, cls in large.items():
+        by_size[len(cls)].append(p)
+    out: dict[int, Optional[tuple[int, ...]]] = {}
+    for k, ps in by_size.items():
+        rows = min(_PASS_BLOCK_BYTES, _BYTE_BUDGET) // (9 << k)
+        if len(ps) < _PASS_MIN_CLASSES or k > _PASS_MAX_MEMBERS or rows == 0:
+            for p in ps:
+                try:
+                    out[p] = tuple(sorted(_dead_members(p, 1, 0, dict.fromkeys(large[p], 1))))
+                except ResourceLimitError:
+                    out[p] = None
+            continue
+        P = np.array(ps, dtype=np.int64)
+        skip = _sets_bytes(range(k), P, cyclic=True) > _BYTE_BUDGET
+        out.update(dict.fromkeys(P[skip].tolist()))
+        ps = P[~skip].tolist()
+        for i in range(0, len(ps), rows):
+            block = ps[i : i + rows]
+            P = np.array(block, dtype=np.int64)
+            bits = _zero_sum_members(np.array([large[p] for p in block], dtype=np.int64) // P[:, None], P)
+            for p, b in zip(block, bits.tolist()):
+                cls = large[p]
+                out[p] = tuple(n for j, n in enumerate(cls) if not b >> j & 1) if b else tuple(cls)
+    return out
+
+
 def _reduce(elems: list[int], target: Fraction, factors: dict[int, Factorization]) -> CoreReduction:
     num, den = target.numerator, target.denominator
     den_exp = dict(factorize_all([den])[den])
+    top = max(elems, default=0)
+    steps = []
+    skipped = set()
+    alive = set(elems)
+    tested: dict[int, Optional[tuple[int, ...]]] = {}
+    # below 2^31, a product of two residues mod a large prime fits int64
+    if 0 < top < 1 << 31 and all(p * p <= top for p in den_exp):
+        tested = _large_prime_pass(elems, factors, math.isqrt(top))
+        for p in sorted(tested, reverse=True):
+            dead = tested[p]
+            if dead is None:
+                skipped.add(p)
+            elif dead:
+                steps.append((p, dead))
+                alive.difference_update(dead)
     # classes[p] maps each present multiple of p to its exponent of p
     classes: defaultdict[int, dict[int, int]] = defaultdict(dict)
     for n in elems:
-        for p, a in factors[n]:
-            classes[p][n] = a
-    alive = set(elems)
-    queued = classes.keys() | den_exp.keys()
+        if n in alive:
+            for p, a in factors[n]:
+                classes[p][n] = a
+    # the large primes had their first test; a removal below puts one back
+    queued = {p for p in classes if p not in tested} | den_exp.keys()
     queue = [-p for p in queued]
     heapq.heapify(queue)
-    steps = []
-    skipped = set()
     while queue and alive:
         p = -heapq.heappop(queue)
         queued.remove(p)
@@ -507,6 +644,10 @@ def reduce_to_core(A: SetLike, target) -> CoreReduction:
     congruence at all, A has no solution and every element is removed.  A
     prime whose (|class| + 1) P-bit sets would pass ``_BYTE_BUDGET`` bytes
     is skipped, which leaves the result sound.
+
+    The target's denominator is factored even when it does not divide
+    lcm(A), which ``find_subset``'s ``auto`` rules out before factoring
+    anything: the certificate names the prime that removes every element.
     """
     A = as_intset(A)
     target = Fraction(target)
@@ -540,6 +681,8 @@ def find_subset(A: SetLike, target, cfg: SolverConfig = SolverConfig()) -> Solve
     the target out in units of 1/lcm (see ``_scaled``): the target's
     denominator does not divide the lcm, or the target passes the set's
     reciprocal sum.  An empty core with a nonzero target is such a case.
+    ``auto`` tests the denominator against lcm(A) before it factors A or
+    the denominator, so a huge prime denominator costs no factoring.
     """
     A = as_intset(A)
     target = Fraction(target)
@@ -548,6 +691,10 @@ def find_subset(A: SetLike, target, cfg: SolverConfig = SolverConfig()) -> Solve
     elems = list(A.elements)
     strategy, factors = cfg.strategy, None
     if strategy == Strategy.AUTO:
+        # a denominator that does not divide lcm(A) is ruled out before anything is factored
+        den = target.denominator
+        if den > 1 and math.lcm(*(math.gcd(den, n) for n in elems)) != den:
+            return SolverResult(SolverStatus.EXHAUSTED_NONE, None, 0)
         factors = factorize_all(elems)
         elems = list(_reduce(elems, target, factors).core.elements)
     scaled = _scaled(elems, target)

@@ -303,3 +303,73 @@ def reference_lambda(N: int) -> tuple[Fraction, tuple[int, ...]]:
 
     rec(0, Fraction(0), [])
     return best, best_set
+
+
+# ---------------------------------------------------------------------------
+# reference reduction to a core: one prime at a time, largest first, over
+# Python sets of residues
+
+
+def p_adic_valuation(x: int, p: int) -> int:
+    """The exponent of the prime p in the integer x != 0."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _residue(x: Fraction, P: int) -> int:
+    """x mod P, for x with denominator prime to P."""
+    return x.numerator * pow(x.denominator, -1, P) % P
+
+
+def reference_reduce(A, target) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
+    """(core, steps, skipped) of ``reduce_to_core`` with no byte budget, so
+    nothing is skipped: while some prime is pending, the largest is tested on
+    its class among the elements still present.  With P = p^v, v the largest
+    exponent of p in the class or in the target's denominator, a member n
+    stays iff some subset of the class holding n has sum of P/n = P*target
+    mod P; every element goes when no subset has, or when the denominator
+    holds a higher power of p than any member.  A removal makes the removed
+    elements' other primes pending again."""
+    target = Fraction(target)
+    factors = {n: [p for p, _ in trial_factorize(n)] for n in A}
+    den_primes = [p for p, _ in trial_factorize(target.denominator)]
+    alive = set(A)
+    pending = {p for n in A for p in factors[n]} | set(den_primes)
+    steps = []
+    while pending and alive:
+        p = max(pending)
+        pending.remove(p)
+        cls = sorted(n for n in alive if n % p == 0)
+        e = p_adic_valuation(target.denominator, p)
+        v = max([p_adic_valuation(n, p) for n in cls], default=0)
+        if e > v:
+            dead = sorted(alive)
+        elif v == 0:
+            continue
+        else:
+            P = p**v
+            r = _residue(P * target, P)
+            w = [_residue(Fraction(P, n), P) for n in cls]
+            # before[i]: the sums of the subsets of cls[:i]; after[i]: those of cls[i:]
+            before = [{0}]
+            for x in w:
+                before.append(before[-1] | {(s + x) % P for s in before[-1]})
+            after = [{0}]
+            for x in reversed(w):
+                after.append(after[-1] | {(s + x) % P for s in after[-1]})
+            after.reverse()
+            if r not in before[-1]:
+                dead = sorted(alive)
+            else:
+                dead = [
+                    n for i, n in enumerate(cls)
+                    if not any((r - w[i] - s) % P in after[i + 1] for s in before[i])
+                ]
+        if dead:
+            steps.append((p, tuple(dead)))
+            alive -= set(dead)
+            pending |= {q for n in dead for q in factors[n] if q != p}
+    return tuple(sorted(alive)), tuple(steps), ()

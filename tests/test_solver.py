@@ -14,11 +14,13 @@ from egyfrac import (
     SolverConfig,
     SolverStatus,
     Strategy,
+    build_table,
     combine_solutions,
     count_integral,
     count_subsets,
     find_subset,
     lambda_exact,
+    pomerance_set,
     recip_sum,
     reduce_to_core,
 )
@@ -30,6 +32,7 @@ from helpers import (
     brute_subsets_with_sum,
     divisors_above_one,
     exhaustive_lambda,
+    p_adic_valuation,
     random_lcm_capped_set,
     reference_count_integral,
     reference_count_subsets,
@@ -37,6 +40,7 @@ from helpers import (
     reference_find_dfs,
     reference_find_meet,
     reference_lambda,
+    reference_reduce,
 )
 
 ALL_STRATEGIES = [Strategy.DFS_BNB, Strategy.MEET_MIDDLE, Strategy.RESIDUE_DP]
@@ -492,6 +496,11 @@ def test_meet_counters_on_both_sides_of_the_int64_switch(A, dtype):
         assert count_subsets(A, target) == reference_count_subsets(A, target), (A, target)
     for k in (1, 2, 6, 35):
         assert count_integral(A, k) == reference_count_integral(A, k), (A, k)
+    for target in {recip_sum(A[:1]), recip_sum(A[::3])}:
+        for deterministic in (True, False):
+            cfg = SolverConfig(strategy=Strategy.MEET_MIDDLE, deterministic=deterministic)
+            expected = reference_find_meet(A, target, cfg.node_budget, deterministic)
+            assert _outcome(find_subset(A, target, cfg)) == expected, (A, target)
 
 
 def test_enumerate_sums_order_and_dtype():
@@ -533,14 +542,6 @@ def test_reduce_to_core_removes_no_solution_element():
     assert removed > 0
 
 
-def _p_adic_valuation(x: int, p: int) -> int:
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 def _meets_condition(S, p: int, P: int, target: Fraction) -> bool:
     # sum of P/n over S is P*target mod P as p-adic numbers: their difference over P has no p below
     diff = sum((Fraction(P, n) for n in S), Fraction(0)) - P * target
@@ -556,7 +557,7 @@ def test_reduce_to_core_certificate_replays():
         alive = set(A)
         for p, dead in red.steps:
             cls = sorted(n for n in alive if n % p == 0)
-            v = max([_p_adic_valuation(n, p) for n in cls] + [_p_adic_valuation(target.denominator, p)])
+            v = max([p_adic_valuation(n, p) for n in cls] + [p_adic_valuation(target.denominator, p)])
             P = p**v
             for n in dead:
                 rest = [m for m in cls if m != n]
@@ -590,3 +591,120 @@ def test_auto_on_the_core_keeps_the_witness():
         assert (auto.status, auto.witness) == (dfs.status, dfs.witness), (A, target)
         if auto.status == SolverStatus.EXHAUSTED_NONE and not reduce_to_core(A, target).core:
             assert auto.nodes_explored == 0
+
+
+def test_auto_rules_out_a_foreign_denominator_before_factoring(monkeypatch):
+    # 2^61 - 1 is prime: factoring it by trial division would not end in practice
+    factorize_all_ = solver.factorize_all
+
+    def guarded(elems):
+        assert max(elems) <= 6, elems
+        return factorize_all_(elems)
+
+    monkeypatch.setattr(solver, "factorize_all", guarded)
+    for target in (Fraction(1, 2**61 - 1), Fraction(1, 2 * (2**61 - 1)), Fraction(1, 4), Fraction(5, 7)):
+        res = find_subset([2, 3, 6], target)
+        assert (res.status, res.nodes_explored) == (SolverStatus.EXHAUSTED_NONE, 0), target
+    assert find_subset([2, 3, 6], Fraction(1, 2)).witness == IntSet([2])
+    assert find_subset([], Fraction(1, 3)).status == SolverStatus.EXHAUSTED_NONE
+
+
+def _reduction(A, target):
+    red = reduce_to_core(A, target)
+    return red.core.elements, red.steps, red.skipped
+
+
+# with 1/101 the large-prime pass does not run: 101 is past sqrt(2750)
+_REDUCE_TARGETS = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(5, 6), Fraction(1, 101)]
+
+
+@pytest.mark.parametrize("N", [30, 250, 750, 1250, 2750])
+def test_reduce_to_core_matches_reference_on_pomerance_sets(N, monkeypatch):
+    members = pomerance_set(N, 1, build_table(N)).members
+    for target in _REDUCE_TARGETS:
+        expected = reference_reduce(members, target)
+        assert _reduction(members, target) == expected, target
+        # blocks of a few rows, and none past 4 members: the numpy pass in pieces and _dead_members
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_PASS_BLOCK_BYTES", 200)
+            assert _reduction(members, target) == expected, target
+
+
+# from 1 class on, every large-prime class goes through the numpy pass, survivors included
+@pytest.mark.parametrize("min_classes", [solver._PASS_MIN_CLASSES, 1])
+def test_reduce_to_core_matches_reference_on_ranges(min_classes, monkeypatch):
+    monkeypatch.setattr(solver, "_PASS_MIN_CLASSES", min_classes)
+    for N in range(1, 201):
+        assert _reduction(range(2, N + 1), 1) == reference_reduce(range(2, N + 1), 1), N
+
+
+@pytest.mark.parametrize("min_classes", [solver._PASS_MIN_CLASSES, 1])
+def test_reduce_to_core_matches_reference_on_random_sets(min_classes, monkeypatch):
+    # a large prime tests its class again when a small prime's step shrank it
+    monkeypatch.setattr(solver, "_PASS_MIN_CLASSES", min_classes)
+    rng, targets = random.Random(1), random.Random(2)
+    again = 0
+    for _ in range(400):
+        A = sorted(rng.sample(range(2, 400), rng.randrange(10, 60)))
+        target = targets.choice(_REDUCE_TARGETS[:4] + [Fraction(0), Fraction(7, 12), recip_sum(A[::4])])
+        got = _reduction(A, target)
+        assert got == reference_reduce(A, target), (A, target)
+        primes = [p for p, _ in got[1]]
+        root = math.isqrt(A[-1])
+        again += any(p > root and min(primes[:j], default=p) <= root for j, p in enumerate(primes))
+    assert again > 10, again
+
+
+# the eight largest primes below 2^31, the bound under which the pass runs
+_PRIMES_BELOW_2_31 = [2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543, 2147483497]
+
+
+def test_zero_sum_members_matches_subset_enumeration_near_2_31():
+    # products of residues near 2^31 overflow int64 unless each step reduces mod p
+    rng = random.Random(7)
+    rows, expected = [], []
+    for p in _PRIMES_BELOW_2_31:
+        m = [rng.randrange(1, p) for _ in range(4)]
+        # a fifth member that closes a random subset of the first four to 0 mod p
+        chosen = rng.sample(m, rng.randint(1, 4))
+        m.append(pow(-sum(pow(x, -1, p) for x in chosen) % p, -1, p))
+        m.append(rng.randrange(1, p))
+        rows.append(m)
+        bits = 0
+        for size in range(1, len(m) + 1):
+            for S in combinations(range(len(m)), size):
+                if sum(pow(m[j], -1, p) for j in S) % p == 0:
+                    bits |= sum(1 << j for j in S)
+        expected.append(bits)
+    got = solver._zero_sum_members(np.array(rows, dtype=np.int64), np.array(_PRIMES_BELOW_2_31, dtype=np.int64))
+    assert got.tolist() == expected
+    assert all(b & 1 << 4 for b in expected)
+
+
+def test_reduce_to_core_numpy_pass_keeps_the_skip_rule(monkeypatch):
+    # the numpy pass skips exactly the classes _dead_members would skip
+    members = pomerance_set(2750, 1, build_table(2750)).members
+    skipped = 0
+    for budget in (40, 300, 3000):
+        monkeypatch.setattr(solver, "_BYTE_BUDGET", budget)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_PASS_MIN_CLASSES", len(members) + 1)
+            expected = _reduction(members, 1)
+        assert _reduction(members, 1) == expected, budget
+        skipped += len(expected[2])
+    assert skipped > 0
+
+
+def test_reduce_to_core_sends_no_large_prime_to_the_loop_dp(monkeypatch):
+    # every large-prime class of this set comes in a group of 8 or more of its size
+    calls = []
+    dead_members = solver._dead_members
+
+    def counted(p, *args):
+        calls.append(p)
+        return dead_members(p, *args)
+
+    monkeypatch.setattr(solver, "_dead_members", counted)
+    members = pomerance_set(2750, 1, build_table(2750)).members
+    assert not reduce_to_core(members, 1).core
+    assert calls and max(calls) ** 2 <= 2750 and len(calls) < 40, calls
