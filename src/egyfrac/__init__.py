@@ -57,7 +57,6 @@ from .pruning import PruneTrace, prune_ppower, prune_to_window
 from .pomerance import (
     PomeranceReport,
     pomerance_set,
-    verify_report,
     verify_solution_free,
 )
 
@@ -108,6 +107,5 @@ __all__ = [
     "recip_sum",
     "reduce_to_core",
     "sieve_survivors",
-    "verify_report",
     "verify_solution_free",
 ]

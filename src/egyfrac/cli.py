@@ -5,7 +5,8 @@ pomerance, lambda, prune-demo).  Set files are newline-delimited decimal
 integers or a JSON array.  All JSON output is UTF-8 with sorted keys and
 CSV output is RFC 4180, so identical runs produce byte-identical
 artifacts.  The environment variable EGYFRAC_OUT_DIR overrides the
-output root for experiment artifacts.
+output root for experiment artifacts.  Every command runs on one thread;
+fourier still accepts --threads T, a positive integer, and ignores it.
 
 Exit codes: 0 success / witness found, 1 exhausted with no witness,
 2 node budget exceeded, 3 resource limits or a refused float count,
@@ -40,7 +41,7 @@ from .filters import has_divisor_pair, mertens_q_sum, omega_in_range, passes_smo
 from .solver import SolverConfig, SolverStatus, Strategy, count_integral, find_subset, lambda_exact
 from .fourier import arc_classify
 from .pruning import prune_to_window
-from .pomerance import _members, pomerance_set, verify_report, verify_solution_free
+from .pomerance import _members, pomerance_set, verify_solution_free
 
 EXIT_FOUND = 0
 EXIT_NONE = 1
@@ -121,7 +122,7 @@ def cmd_fourier(args) -> int:
     width = args.arc_width
     if width is None:
         width = (min(A) / 2) if len(A) else 1.0
-    diag = arc_classify(A, args.k, width, threads=args.threads)
+    diag = arc_classify(A, args.k, width)
     exact = count_integral(A, args.k)
     payload = diag.to_json_dict()
     payload["count_integral"] = exact
@@ -224,10 +225,9 @@ def _experiment_pomerance(args):
         step = args.step or args.N
         rows = [["N", "C", "size", "recip_float", "recip_exact", "verified"]]
         for N in range(step, args.N + 1, step):
-            rep = verify_report(pomerance_set(N, args.C, t), args.budget)
-            rows.append(
-                [N, args.C, len(rep.members), float(rep.recip), format_rational(rep.recip), rep.verified_free]
-            )
+            rep = pomerance_set(N, args.C, t)
+            free = verify_solution_free(rep.members, args.budget)
+            rows.append([N, args.C, len(rep.members), float(rep.recip), format_rational(rep.recip), free])
         name = f"pomerance_{args.N}_{args.C}.csv"
         params = {"N": args.N, "C": args.C, "step": step, "budget": args.budget}
     return name, _csv_text(rows), params, repr(sorted(params.items()))
@@ -293,7 +293,7 @@ def _experiment_prune_demo(args):
         stage["outcome"] = "pruned"
         stage["trace"] = trace.to_json_dict()
         try:
-            diag = arc_classify(current, d, args.lo / 2, threads=args.threads)
+            diag = arc_classify(current, d, args.lo / 2)
         except (NumericalInstabilityError, ResourceLimitError) as exc:
             stage["fourier"] = f"skipped: {exc}"
         else:
@@ -350,7 +350,8 @@ def _finite_float(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    # a thread count below 1 would run no worker
+    # fourier --threads does nothing, but older command lines pass it, and it
+    # is still refused below 1
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
@@ -382,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--arc-width", type=_finite_float, default=None, help="major-arc radius K (default min(A)/2)")
     p.add_argument("--out")
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1, help="accepted and ignored: the sum runs on one thread")
     p.set_defaults(func=cmd_fourier)
 
     p = sub.add_parser("decompose", help="dump the prime-power class structure of a set file")
@@ -393,7 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a named batch experiment")
     p.add_argument("name", choices=_EXPERIMENTS)
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--X", type=int, default=1000)
     p.add_argument("--N", type=int, default=1000)
     p.add_argument("--y", type=_finite_float, default=3.0)

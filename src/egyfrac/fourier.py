@@ -12,12 +12,14 @@ C(A; h) = prod |cos(pi k h / n)| that control the minor-arc mass.
 
 Factors and weights depend on h only through (k h) mod n, so each element
 n gets one table of its n values, all built in one vectorized pass: sum(A)
-exp/cos calls in place of |A| * L.  The product of the first j tables is
+exp/cos calls in place of |A| * L.  Every n divides L, so k is read mod L,
+and any k >= 1 is answered.  The product of the first j tables is
 periodic in h with period lcm(n_1..n_j), so _gathered_product forms it over
 min(lcm(n_1..n_j), chunk) entries of one chunk-length buffer, copied forward
 in place as the period grows, and multiplies each table in as one rotated row,
 all rows taken by one gather: sum over j of min(lcm(n_1..n_j), chunk)
-multiplies per chunk, and no modulo over h.
+multiplies per chunk, and no modulo over h.  The chunks run in order on the
+calling thread.
 A count is refused before any product is formed when its
 a-priori error bound 18 m 2^m u (u = 2^-53, m = |A|) reaches 1/4: m >= 42.
 A table entry 1 + e(j/n) is within 23u of exact (three roundings in the phase,
@@ -40,7 +42,6 @@ folds, with a message that gives the lcm's bit length so far and not the lcm.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -234,47 +235,32 @@ def _gathered_product(
     return buf[:size]
 
 
-def orthogonality_sum(
-    A: SetLike,
-    k: int,
-    *,
-    threads: int = 1,
-) -> tuple[float, float, int]:
+def orthogonality_sum(A: SetLike, k: int) -> tuple[float, float, int]:
     """Evaluate the orthogonality sum; returns (real part, imag part, L).
 
-    The h-range is processed in fixed-size chunks, each exactly rounded by
-    _exact_sum; per-chunk results are combined in chunk order, so the
-    value does not depend on the number of worker threads.
+    k enters only through (k h) mod n, and every n divides L, so k is reduced
+    mod L first.  The h-range is processed in fixed-size chunks, each exactly
+    rounded by _exact_sum, and the per-chunk results are combined in order
+    on the calling thread.
     """
     A = as_intset(A)
     if k < 1:
         raise DomainError("k must be a positive integer")
     L = _checked_lcm(A)
+    k %= L
     if k * L > 2**62:
         raise ResourceLimitError("k * lcm too large for exact 64-bit phase reduction")
     num, den = _phase_tables(A)
     roots = 1.0 + np.exp((2j * np.pi) * (num / den))  # 1 + e(j/n)
     h = _h_range(L)
-    starts = h[::_CHUNK]
-
-    def chunk_sums(start: int) -> tuple[float, float]:
+    partials = []
+    for start in h[::_CHUNK]:
         prod = _gathered_product(roots, (num, den), A, k, start, min(_CHUNK, h.stop - start))
-        return _exact_sum(prod.real), _exact_sum(prod.imag)
-
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(chunk_sums, starts))
-    else:
-        partials = [chunk_sums(s) for s in starts]
+        partials.append((_exact_sum(prod.real), _exact_sum(prod.imag)))
     return math.fsum(p[0] for p in partials), math.fsum(p[1] for p in partials), L
 
 
-def fourier_count(
-    A: SetLike,
-    k: int,
-    *,
-    threads: int = 1,
-) -> tuple[float, int]:
+def fourier_count(A: SetLike, k: int) -> tuple[float, int]:
     """Count subsets with integral k * recip_sum via the orthogonality sum.
 
     Returns (value, rounded).  Raises NumericalInstabilityError before summing
@@ -285,7 +271,7 @@ def fourier_count(
     m = len(A)
     if _ERROR_C * m * 2**m >= 2**51:  # the bound reaches 1/4 = 2^51 u
         raise NumericalInstabilityError(f"{m} elements: float error bound {_ERROR_C}*{m}*2^({m}-53) >= 1/4")
-    re, im, L = orthogonality_sum(A, k, threads=threads)
+    re, im, L = orthogonality_sum(A, k)
     value = re / L
     rounded = round(value)
     if abs(value - rounded) > 0.25 or abs(im / L) > 0.25:
@@ -293,30 +279,24 @@ def fourier_count(
     return value, rounded
 
 
-def arc_classify(
-    A: SetLike,
-    k: int,
-    K: float,
-    *,
-    threads: int = 1,
-) -> ArcDiagnostics:
+def arc_classify(A: SetLike, k: int, K: float) -> ArcDiagnostics:
     """Classify every nonzero frequency as major or minor and weigh it.
 
-    ``threads`` reaches only the count (``fourier_count``); the weights'
-    product runs on one thread.  Raises ResourceLimitError past the lcm
-    bound before fourier_count's refusal of a set too large to certify,
-    and before any work.
+    Raises ResourceLimitError past the lcm bound before fourier_count's
+    refusal of a set too large to certify, and before any work.  The mask
+    and the weights read k mod L, as the count does; the result keeps k.
     """
     A = as_intset(A)
     if not 0 <= K < math.inf:  # NaN would make every frequency minor, inf every one major and K non-JSON
         raise DomainError(f"arc radius K must be finite and >= 0, got {K!r}")
     L = _checked_lcm(A)
-    value, rounded = fourier_count(A, k, threads=threads)
+    value, rounded = fourier_count(A, k)
     h = _h_range(L)
     hs = np.arange(h.start, h.stop - 1, dtype=np.int64)
     hs[-h.start :] += 1  # J: h = 0 left out
     # k*h mod L, exactly in integers; 2 min(r, L - r) <= K iff min(r, L - r) <= floor(K) // 2
-    r = hs * k
+    kr = k % L
+    r = hs * kr
     r %= L
     reach = min(math.floor(K) // 2, L)
     major_mask = r <= reach
@@ -325,7 +305,7 @@ def arc_classify(
     num, den = _phase_tables(A)
     fold = np.minimum(num, den - num)
     cosines = np.where(2 * fold == den, 0.0, np.abs(np.cos(np.pi * fold / den)))  # |cos(pi j / n)|, 0 where 2j = n
-    weight_array = np.delete(_gathered_product(cosines, (num, den), A, k, h.start, L), -h.start)  # h = 0 left out
+    weight_array = np.delete(_gathered_product(cosines, (num, den), A, kr, h.start, L), -h.start)  # h = 0 left out
     for a in (hs, major_mask, weight_array):
         a.flags.writeable = False
     return ArcDiagnostics(

@@ -8,14 +8,13 @@ for lower bounds on the maximal solution-free reciprocal sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, InconclusiveError, RangeError
-from .rational import IntSet, SetLike, as_intset, format_rational, recip_sum
+from .rational import IntSet, SetLike, as_intset, recip_sum
 from .sieve import FactorTable
 from .solver import SolverConfig, SolverStatus, find_subset
 
@@ -26,20 +25,6 @@ class PomeranceReport:
     C: float
     members: IntSet
     recip: Fraction
-    verified_free: Optional[bool]
-    verify_budget: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "C": self.C,
-            "size": len(self.members),
-            "members": list(self.members),
-            "recip": format_rational(self.recip),
-            "recip_float": float(self.recip),
-            "verified_free": self.verified_free,
-            "verify_budget": self.verify_budget,
-        }
 
 
 def _members(N: int, C: float, t: FactorTable) -> IntSet:
@@ -67,14 +52,7 @@ def pomerance_set(N: int, C: float, t: FactorTable) -> PomeranceReport:
     """Collect {2 <= n <= N : largest prime p of n has p*ln(p) > C*n} and
     its exact reciprocal sum."""
     members = _members(N, C, t)
-    return PomeranceReport(
-        N=N,
-        C=C,
-        members=members,
-        recip=recip_sum(members),
-        verified_free=None,
-        verify_budget=0,
-    )
+    return PomeranceReport(N=N, C=C, members=members, recip=recip_sum(members))
 
 
 def verify_solution_free(A: SetLike, budget: int) -> bool:
@@ -93,8 +71,3 @@ def verify_solution_free(A: SetLike, budget: int) -> bool:
         raise InconclusiveError(f"solution-freeness undecided within {budget} nodes")
     return res.status == SolverStatus.EXHAUSTED_NONE
 
-
-def verify_report(report: PomeranceReport, budget: int = 10_000_000) -> PomeranceReport:
-    """Return a copy of the report with the verification fields filled in."""
-    free = verify_solution_free(report.members, budget)
-    return replace(report, verified_free=free, verify_budget=budget)

@@ -98,13 +98,7 @@ class IntSet:
     def union(self, other: SetLike) -> "IntSet":
         return IntSet(self.elements + tuple(other))
 
-    # -- serialization: newline-delimited decimal text and JSON array --
-
-    def to_text(self) -> str:
-        return "".join(f"{n}\n" for n in self.elements)
-
-    def to_json(self) -> str:
-        return json.dumps(list(self.elements))
+    # -- parsing: newline-delimited decimal text and JSON array --
 
     @classmethod
     def from_text(cls, text: str) -> "IntSet":

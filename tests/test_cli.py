@@ -90,6 +90,28 @@ def test_fourier_writes_arcs_as_runs(tmp_path, capsys):
     assert payload["weights_summary"]["count"] == 27720 - 1
 
 
+def test_fourier_answers_a_k_past_64_bits(tmp_path, capsys):
+    # k * lcm used to pass 2^62 and exit 3; the JSON keeps k as given
+    f = tmp_path / "s.txt"
+    f.write_text("2\n3\n6\n")
+    assert main(["fourier", str(f), "--k", "10000000000000000000"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["k"] == 10**19 and payload["rounded"] == payload["count_integral"] == 4
+    assert payload["consistent"] is True
+
+
+def test_fourier_threads_changes_no_byte(tmp_path):
+    # the 16 smallest divisors of 360360 span three chunks of the sum
+    f = tmp_path / "d360360.txt"
+    f.write_text("\n".join(map(str, divisors_above_one(360360)[:16])) + "\n")
+    outs = []
+    for extra in ([], ["--threads", "2"]):
+        out = tmp_path / f"out{len(outs)}.json"
+        assert main(["fourier", str(f), "--k", "1", "--out", str(out), *extra]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_fourier_resource_exit(tmp_path, capsys):
     f = tmp_path / "primes.txt"
     f.write_text("\n".join(map(str, [101, 103, 107, 109, 113, 127])) + "\n")

@@ -45,13 +45,6 @@ def test_fourier_count_matches_dp_oracle():
         assert abs(imag) <= 1e-6 * 2 ** len(A), (A, k, imag)
 
 
-def test_fourier_threads_deterministic():
-    A = random_lcm_capped_set(random.Random(42), 2, 60, 16, 10**6)
-    r1 = orthogonality_sum(A, 2, threads=1)
-    r4 = orthogonality_sum(A, 2, threads=4)
-    assert r1 == r4
-
-
 def test_fourier_refuses_counts_beyond_float_precision():
     # the 70 smallest divisors of 55440 have 21295621930005136 subsets with an
     # integral reciprocal sum, beyond 2^53: summed in floats it rounds to ...132
@@ -203,22 +196,19 @@ def _reference_weights(A, k):
 def test_table_kernel_matches_per_frequency_formula_bitwise():
     rng = random.Random(47)
     for i in range(20):
-        # two sets span several chunks, so the threaded path is pinned too
+        # two sets span several chunks
         cap = 4 * 10**5 if i < 2 else 2 * 10**4
         A = random_lcm_capped_set(rng, 2, 80, 16, cap)
         k = rng.choice([1, 2, 3])
         want = _reference_sum(A, k)
-        assert orthogonality_sum(A, k, threads=1) == want, (A, k)
-        assert orthogonality_sum(A, k, threads=2) == want, (A, k)
+        assert orthogonality_sum(A, k) == want, (A, k)
         if want[2] <= 2 * 10**4:
             assert arc_classify(A, k, 2.0).weights == _reference_weights(A, k), (A, k)
 
 
-def _assert_kernel_matches_reference(A, k, threads=1, weights=True):
-    want = _reference_sum(A, k)
-    assert orthogonality_sum(A, k, threads=threads) == want, (A, k, threads)
-    if weights:
-        assert arc_classify(A, k, 2.0, threads=threads).weights == _reference_weights(A, k), (A, k, threads)
+def _assert_kernel_matches_reference(A, k):
+    assert orthogonality_sum(A, k) == _reference_sum(A, k), (A, k)
+    assert arc_classify(A, k, 2.0).weights == _reference_weights(A, k), (A, k)
 
 
 def test_kernel_on_the_empty_set():
@@ -241,13 +231,12 @@ def test_kernel_where_rotated_rows_repeat():
         _assert_kernel_matches_reference(A, k)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_kernel_across_three_chunks(threads):
+@pytest.mark.parametrize("k", [1, 2])
+def test_kernel_across_three_chunks(k):
     # L = 360360 spans three chunks, and the chunk length 2^17 is a multiple of no odd element
     A = divisors_above_one(360360)[:16]
     assert math.lcm(*A) == 360360 and 2 * egyfrac.fourier._CHUNK < 360360 < 3 * egyfrac.fourier._CHUNK
-    _assert_kernel_matches_reference(A, 1, threads, weights=threads == 1)  # the weights run on one thread
-    _assert_kernel_matches_reference(A, 2, threads, weights=False)
+    _assert_kernel_matches_reference(A, k)
 
 
 @pytest.mark.parametrize("length", [1, 5, 44])
@@ -293,6 +282,20 @@ def test_fourier_resource_error():
         fourier_count(primes, 1)
     with pytest.raises(DomainError):
         fourier_count([2, 3], 0)
+
+
+def test_any_k_is_answered_through_k_mod_lcm():
+    # k used to be refused once k * lcm passed 2^62; it enters only through k h mod n, n | L
+    assert fourier_count([2, 3, 6], 10**19)[1] == 4 == count_integral([2, 3, 6], 10**19)
+    A = divisors_above_one(360)[:9]
+    L = math.lcm(*A)
+    for k in (1, 2, 5):
+        for big in (k + L, k + 5 * L, k + 10**20 * L):
+            assert orthogonality_sum(A, big) == orthogonality_sum(A, k), (k, big)
+            want, got = arc_classify(A, k, 3.0), arc_classify(A, big, 3.0)
+            assert got.k == big and dataclasses.replace(got, k=k) == want, (k, big)
+    # a multiple of L makes every k * recip_sum(S) integral: all 2^|A| subsets count
+    assert fourier_count(A, 7 * L)[1] == 2 ** len(A)
 
 
 def test_cosine_weight_examples():

@@ -15,7 +15,6 @@ from egyfrac import (
     lambda_exact,
     pomerance_set,
     recip_sum,
-    verify_report,
     verify_solution_free,
 )
 from helpers import trial_factorize
@@ -32,7 +31,6 @@ def test_pomerance_set_examples(small_table):
     rep = pomerance_set(10, 1, small_table)
     assert rep.members == IntSet(expected)
     assert rep.recip == Fraction(71, 105)
-    assert rep.verified_free is None
     assert pomerance_set(10, 100, small_table).members == IntSet([])
     assert pomerance_set(3, 1, small_table).members == IntSet([3])
 
@@ -70,12 +68,8 @@ def test_verify_inconclusive_raises():
         verify_solution_free([2, 3, 6], 1)
 
 
-def test_verify_report_fills_fields(small_table):
-    rep = verify_report(pomerance_set(50, 1, small_table), 10**6)
-    assert rep.verified_free is True
-    assert rep.verify_budget == 10**6
-    d = rep.to_json_dict()
-    assert d["verified_free"] is True and d["size"] == len(rep.members)
+def test_pomerance_set_at_50_is_solution_free(small_table):
+    assert verify_solution_free(pomerance_set(50, 1, small_table).members, 10**6) is True
 
 
 def test_curve_nondecreasing(small_table):
