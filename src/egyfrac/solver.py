@@ -56,9 +56,10 @@ int is set iff some chosen elements sum to 1 - 1/n, that is, iff adding n
 would complete a solution; n is included only while the bit is clear.
 
 Every DP table, a run of sets from the one reachability kernel
-``_subset_sums``, a count array of its counting twin ``_count_sums`` or a
-block of the large-prime pass, is checked against ``_BYTE_BUDGET`` before
-it is allocated.  ``_count_sums``
+``_subset_sums``, a count array of its counting twin ``_count_sums``, a
+block of the large-prime pass or the larger half's sums of a
+``meet_middle`` search, is checked against ``_BYTE_BUDGET`` before it is
+allocated.  ``_count_sums``
 meets in the middle up to ``_EXHAUSTIVE_BOUND`` weights and runs its DP
 past them; ``_meet``, over sorted numpy arrays of subset sums, is the one
 meet in the middle of that count and of the ``meet_middle`` search.
@@ -82,7 +83,7 @@ from .sieve import Factorization, factorize_all
 
 # _count_sums meets in the middle up to this many weights and runs its DP past them
 _EXHAUSTIVE_BOUND = 24
-# the bytes a DP table may hold: past them the residue DP and the counters raise,
+# the bytes a DP table may hold: past them the residue DP, meet_middle and the counters raise,
 # auto runs dfs_bnb, reduce_to_core skips a prime and lambda_exact refuses N
 _BYTE_BUDGET = 1 << 25
 # reduce_to_core decides a group of same-size large-prime classes in one numpy pass from
@@ -188,51 +189,50 @@ def _dfs_search(
     the integer T (see ``_scaled``).  Returns the first qualifying subset
     in exploration order, or None if none exists, and the nodes visited;
     the search stops at node ``limit + 1`` with None.  Two sound cuts are
-    applied: the remaining suffix weight must cover the deficit D, and
-    every prime left in the deficit's denominator must still divide some
-    remaining element (otherwise it can never cancel).  A prime p is in
-    that denominator iff p^v_p(L) does not divide D.  A node's parent has
-    already cleared every prime its own suffix lacks, and the element
-    between them is coprime to those, so each node tests only the primes
-    whose last carrier is the element just decided; the root tests none,
-    since each prime of L divides an element.
+    applied: the remaining suffix weight must cover the deficit D (at
+    depth k it is 0), and every prime left in the deficit's denominator
+    must still divide some remaining element (otherwise it can never
+    cancel).  A prime p is in that denominator iff p^v_p(L) does not
+    divide D.  A node's parent has already cleared every prime its own
+    suffix lacks, and the element between them is coprime to those, so a
+    node at depth i tests only the primes whose last carrier is
+    order[i-1], all at once: mod[i] is the product of their pairwise
+    coprime powers p^v_p(L), and 1 at the root.
 
-    The tree is walked with an explicit stack, so its depth is bounded by
-    nothing but memory.
+    The walk steps from a node that passes both cuts to its include child,
+    or to its exclude child when order[i] does not fit D, and stacks only
+    the exclude alternatives of include steps, popping one after a cut.
+    The stack is explicit, so the depth is bounded by nothing but memory.
     """
     k = len(order)
     weights = [L // n for n in order]
-    suffix = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + weights[i]
-    # dying[i]: the prime powers p^v_p(L) whose prime first goes missing from order[i:]
-    dying: list[list[int]] = [[] for _ in range(k + 1)]
+    suffix = list(accumulate(reversed(weights), initial=0))[::-1]
+    mod = [1] * (k + 1)
     last = {p: i + 1 for i, n in enumerate(order) for p, _ in factors[n]}
     for p, i in last.items():
-        dying[i].append(_prime_power_part(L, p))
+        mod[i] *= _prime_power_part(L, p)
 
     chosen = [False] * k
-    stack = [(0, T, False)]
-    count = 0
-    while stack:
-        i, D, included = stack.pop()
+    stack: list[tuple[int, int]] = []
+    i, D, count = 0, T, 0
+    while True:
         count += 1
         if count > limit:
             return None, count
-        if i:
-            chosen[i - 1] = included
-        if D == 0:
+        if not D:
             return tuple(order[j] for j in range(i) if chosen[j]), count
-        if i == k or suffix[i] < D:
-            continue
-        for q in dying[i]:
-            if D % q:
-                break
+        if suffix[i] >= D and not D % mod[i]:
+            w = weights[i]
+            chosen[i] = w <= D
+            if chosen[i]:
+                stack.append((i + 1, D))
+                D -= w
+            i += 1
+        elif stack:
+            i, D = stack.pop()
+            chosen[i - 1] = False
         else:
-            stack.append((i + 1, D, False))
-            if weights[i] <= D:
-                stack.append((i + 1, D - weights[i], True))
-    return None, count
+            return None, count
 
 
 def _grouped_order(elems: Sequence[int], factors: dict[int, Factorization]) -> list[int]:
@@ -320,6 +320,9 @@ def _find_meet(elems: Sequence[int], weights: Sequence[int], T: int, cfg: Solver
     if nodes > cfg.node_budget:
         return _result(None, nodes, cfg.node_budget)
     top = sum(weights)
+    # the larger half's sums: int64, or past 2^62 pointers to ints of up to top's size (see _enumerate_sums)
+    entry = 8 if top < 1 << 62 else 8 + 32 + 8 * (top.bit_length() // 30)
+    _check_bytes(entry << len(left), "the subset sums of a meet-in-the-middle half")
     sums, lo, hi = _meet(weights, T, top, None)
     hits = np.flatnonzero(hi > lo)
     values = sums[lo[hits]]

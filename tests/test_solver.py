@@ -39,6 +39,7 @@ from helpers import (
     reference_dfs,
     reference_find_dfs,
     reference_find_meet,
+    reference_grouped_order,
     reference_lambda,
     reference_reduce,
 )
@@ -119,6 +120,28 @@ def test_meet_refuses_only_past_the_budget_it_would_spend():
     for budget, expected in ((4094, SolverStatus.FOUND), (4093, SolverStatus.BUDGET_EXCEEDED)):
         res = find_subset(range(2, 24), 1, SolverConfig(strategy=Strategy.MEET_MIDDLE, node_budget=budget))
         assert (res.status, res.nodes_explored) == (expected, 4094), budget
+
+
+def test_meet_refuses_sums_past_the_byte_budget_before_enumerating(monkeypatch):
+    # the larger half of 2..23 has 2^11 sums of 8 bytes each; the 16 primes' halves
+    # have 2^8 sums past 2^62, Python ints that cost more than 8 bytes each
+    calls = []
+    enumerate_sums = solver._enumerate_sums
+
+    def spy(*args):
+        calls.append(args)
+        return enumerate_sums(*args)
+
+    monkeypatch.setattr(solver, "_enumerate_sums", spy)
+    cfg = SolverConfig(strategy=Strategy.MEET_MIDDLE)
+    for A, budget in ((range(2, 24), (8 << 11) - 1), (FIRST_PRIMES, 8 << 8)):
+        monkeypatch.setattr(solver, "_BYTE_BUDGET", budget)
+        with pytest.raises(ResourceLimitError):
+            find_subset(A, recip_sum(A[:3]), cfg)
+        assert calls == [], A
+    monkeypatch.setattr(solver, "_BYTE_BUDGET", 8 << 11)
+    assert find_subset(range(2, 24), 1, cfg).status == SolverStatus.FOUND
+    assert calls
 
 
 def test_count_subsets_examples():
@@ -441,6 +464,59 @@ def test_dfs_kernel_matches_fraction_reference_in_ascending_order():
         if nodes > budget:
             got = "budget"
         assert (got, nodes) == (expected, counter[0]), (A, target, budget)
+
+
+def _reference_at_limit(order, target, limit):
+    counter = [0]
+    try:
+        return reference_dfs(order, target, counter, limit), counter[0]
+    except ReferenceBudgetExhausted:
+        return None, counter[0]
+
+
+def test_dfs_kernel_cuts_at_every_limit():
+    # every limit from 1 to one past the full search stops the kernel where the
+    # recursive reference stops, in grouped and in ascending order
+    found_at_limit = exhausted = 0
+    for A, target, _ in _equivalence_instances(46, 100, 14):
+        scaled = solver._scaled(A, target)
+        if scaled is None:
+            continue
+        L, _, T = scaled
+        factors = factorize_all(list(A))
+        for order in (reference_grouped_order(A), A):
+            witness, full = solver._dfs_search(order, L, T, factors, 10**6)
+            for limit in range(1, full + 2):
+                got = solver._dfs_search(order, L, T, factors, limit)
+                assert got == _reference_at_limit(order, target, limit), (A, target, order, limit)
+            # a witness at node `limit` is returned; one limit lower cuts the search
+            if witness is not None:
+                assert solver._dfs_search(order, L, T, factors, full) == (witness, full)
+                assert solver._dfs_search(order, L, T, factors, full - 1) == (None, full)
+                found_at_limit += full > 1
+            else:
+                exhausted += full > 1
+    assert found_at_limit > 20 and exhausted > 10, (found_at_limit, exhausted)
+    # the empty order with T > 0 is cut at its root; T = 0 is the empty witness at node 1
+    for limit in (1, 2):
+        assert solver._dfs_search([], 1, 1, {}, limit) == (None, 1)
+        assert solver._dfs_search([2, 3, 6], 6, 0, factorize_all([2, 3, 6]), limit) == ((), 1)
+    assert _reference_at_limit([], Fraction(1), 1) == (None, 1)
+    assert _reference_at_limit([2, 3, 6], Fraction(0), 1) == ((), 1)
+
+
+def test_find_dfs_grouped_hit_at_the_budget():
+    # the grouped search spends the whole budget on its witness, so the
+    # ascending re-search gets limit 0 and is cut at its root
+    A, target = [2, 3, 4, 5, 6, 10, 12, 15], Fraction(1)
+    L, _, T = solver._scaled(A, target)
+    factors = factorize_all(A)
+    _, budget = solver._dfs_search(solver._grouped_order(A, factors), L, T, factors, 10**6)
+    res = find_subset(A, target, SolverConfig(strategy=Strategy.DFS_BNB, node_budget=budget))
+    assert _outcome(res) == ("budget_exceeded", None, budget + 1)
+    assert _outcome(res) == reference_find_dfs(A, target, budget)
+    first = find_subset(A, target, SolverConfig(strategy=Strategy.DFS_BNB, node_budget=budget, deterministic=False))
+    assert first.status == SolverStatus.FOUND and first.nodes_explored == budget
 
 
 @pytest.mark.parametrize("deterministic", [True, False])
