@@ -18,8 +18,9 @@ periodic in h with period lcm(n_1..n_j), so _gathered_product forms it over
 min(lcm(n_1..n_j), chunk) entries of one chunk-length buffer, copied forward
 in place as the period grows, and multiplies each table in as one rotated row,
 all rows taken by one gather: sum over j of min(lcm(n_1..n_j), chunk)
-multiplies per chunk, and no modulo over h.  The chunks run in order on the
-calling thread.
+multiplies per chunk, and no modulo over h.  One generator, _chunk_products,
+yields the chunks' products in order on the calling thread, to
+orthogonality_sum and to the count alike.
 A count is refused before any product is formed when its
 a-priori error bound 18 m 2^m u (u = 2^-53, m = |A|) reaches 1/4: m >= 42.
 A table entry 1 + e(j/n) is within 23u of exact (three roundings in the phase,
@@ -28,6 +29,12 @@ relative error sqrt(5)u, so m factors of modulus <= 2 are off by < 13.8 m 2^m u,
 and the sums and the division by L add 3 2^m u: 18 covers the resulting
 17 m 2^m u with its second-order terms.  That 3 2^m u term needs every sum
 exactly rounded, and ``_exact_sum`` returns exactly what math.fsum does.
+The count sums only the real part of each chunk.  The exact sum is L times a
+count, so its imaginary part is 0, and the same bound holds for each
+product's imaginary part and for the imaginary sum: the computed imaginary
+part over L is below 17 m 2^m u < 1/4 wherever the count is admitted, and a
+test of it could never refuse.  orthogonality_sum, which returns it, still
+sums both parts.
 
 The arc diagnostics hold the frequencies, the major-arc mask and the weights
 as three numpy arrays, 17 bytes a frequency, and build the tuples and the
@@ -44,11 +51,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DomainError, NumericalInstabilityError, ResourceLimitError
-from .rational import IntSet, SetLike, as_intset
+from .rational import IntSet, SetLike, as_intset, positive_k
 
 _LCM_BOUND = 10**6
 _CHUNK = 1 << 17
@@ -141,14 +149,16 @@ def _runs(mask: np.ndarray, start: int) -> list[list[int]]:
 def _exact_sum(x: np.ndarray) -> float:
     """math.fsum(x.tolist()), the correctly rounded sum of a float64 array, in numpy.
 
-    x is scaled below 2^w by its max binade 2^e and split into three limbs of
-    w bits with trunc, which leaves each residual exact (floor does not, on
-    tiny negative values); w = 63 - bit_length(len(x)) keeps each limb's sum
-    inside int64.  The exact limb total, in units of 2^(e - 3w), misses the
-    true sum by less than one unit per element, so it is rounded once and
-    returned when total - n and total + n round to the same double.  Undecided
-    and zero totals, non-finite values, and max |x| >= 2^1000 or sums that
-    could pass 2^1023, where fsum can raise OverflowError, go to math.fsum.
+    x is scaled below 2^w by its max binade 2^e and split into up to three
+    limbs of w bits with trunc, which leaves each residual exact (floor does
+    not, on tiny negative values) and below one unit of its limb; w = 63 -
+    bit_length(len(x)) keeps each limb's sum inside int64.  After limb i the
+    exact limb total, in units of 2^(e - i w), thus misses the true sum by
+    less than one unit per element: it is rounded once and returned as soon
+    as total - n and total + n round to the same double, and the next limb is
+    split off only when they do not.  Totals still undecided or zero after the
+    third limb, non-finite values, and max |x| >= 2^1000 or sums that could
+    pass 2^1023, where fsum can raise OverflowError, go to math.fsum.
     """
     n = len(x)
     m = float(np.abs(x).max()) if n else 0.0
@@ -158,21 +168,20 @@ def _exact_sum(x: np.ndarray) -> float:
     w = 63 - n.bit_length()
     s = np.ldexp(x, w - e)
     total = 0
-    for _ in range(2):
-        t = np.trunc(s)
-        total = (total << w) + int(t.astype(np.int64).sum())
-        s -= t
+    for limb in (1, 2, 3):
+        total = (total << w) + int(s.astype(np.int64).sum())  # the cast truncates
+        sh = e - limb * w
+        value = _scaled_int(total, sh)
+        if value != 0.0 and _scaled_int(total - n, sh) == value == _scaled_int(total + n, sh):
+            return value
+        s -= np.trunc(s)
         s *= 2.0**w
-    total = (total << w) + int(s.astype(np.int64).sum())  # the cast truncates
-    sh = e - 3 * w
-
-    def rounded(units: int) -> float:
-        return float(units << sh) if sh >= 0 else units / (1 << -sh)
-
-    value = rounded(total)
-    if value != 0.0 and rounded(total - n) == value == rounded(total + n):
-        return value
     return math.fsum(x.tolist())
+
+
+def _scaled_int(units: int, sh: int) -> float:
+    """units * 2^sh, correctly rounded."""
+    return float(units << sh) if sh >= 0 else units / (1 << -sh)
 
 
 def _checked_lcm(A: IntSet) -> int:
@@ -235,29 +244,56 @@ def _gathered_product(
     return buf[:size]
 
 
+def _chunk_products(A: IntSet, k: int) -> tuple[int, Iterator[np.ndarray]]:
+    """L = lcm(A), and the orthogonality sum's products over the chunks of h, in order.
+
+    k and the lcm are checked on the call.  When the first chunk is read, k
+    is reduced mod L (it enters only through (k h) mod n, and every n divides
+    L), the 64-bit phase reduction is checked and then the root tables are
+    built; each chunk's product is formed as it is read.  So a caller can
+    refuse the set between the call and the first product.
+    """
+    k = positive_k(k)
+    L = _checked_lcm(A)
+
+    def chunks() -> Iterator[np.ndarray]:
+        kr = k % L
+        if kr * L > 2**62:
+            raise ResourceLimitError("k * lcm too large for exact 64-bit phase reduction")
+        num, den = _phase_tables(A)
+        roots = 1.0 + np.exp((2j * np.pi) * (num / den))  # 1 + e(j/n)
+        h = _h_range(L)
+        for start in h[::_CHUNK]:
+            yield _gathered_product(roots, (num, den), A, kr, start, min(_CHUNK, h.stop - start))
+
+    return L, chunks()
+
+
 def orthogonality_sum(A: SetLike, k: int) -> tuple[float, float, int]:
     """Evaluate the orthogonality sum; returns (real part, imag part, L).
 
-    k enters only through (k h) mod n, and every n divides L, so k is reduced
-    mod L first.  The h-range is processed in fixed-size chunks, each exactly
-    rounded by _exact_sum, and the per-chunk results are combined in order
-    on the calling thread.
+    The h-range is processed in fixed-size chunks, each part of each chunk
+    exactly rounded by _exact_sum, and the per-chunk results are combined in
+    order on the calling thread.
     """
-    A = as_intset(A)
-    if k < 1:
-        raise DomainError("k must be a positive integer")
-    L = _checked_lcm(A)
-    k %= L
-    if k * L > 2**62:
-        raise ResourceLimitError("k * lcm too large for exact 64-bit phase reduction")
-    num, den = _phase_tables(A)
-    roots = 1.0 + np.exp((2j * np.pi) * (num / den))  # 1 + e(j/n)
-    h = _h_range(L)
-    partials = []
-    for start in h[::_CHUNK]:
-        prod = _gathered_product(roots, (num, den), A, k, start, min(_CHUNK, h.stop - start))
-        partials.append((_exact_sum(prod.real), _exact_sum(prod.imag)))
+    L, chunks = _chunk_products(as_intset(A), k)
+    partials = [(_exact_sum(prod.real), _exact_sum(prod.imag)) for prod in chunks]
     return math.fsum(p[0] for p in partials), math.fsum(p[1] for p in partials), L
+
+
+def _check_error_bound(m: int) -> None:
+    """Refuse a count over m elements whose a-priori error bound reaches 1/4."""
+    if _ERROR_C * m * 2**m >= 2**51:  # the bound reaches 1/4 = 2^51 u
+        raise NumericalInstabilityError(f"{m} elements: float error bound {_ERROR_C}*{m}*2^({m}-53) >= 1/4")
+
+
+def _rounded_count(L: int, chunks: Iterator[np.ndarray]) -> tuple[float, int]:
+    """The count from _chunk_products: the real parts' sum over L, and its nearest integer."""
+    value = math.fsum(_exact_sum(prod.real) for prod in chunks) / L
+    rounded = round(value)
+    if abs(value - rounded) > 0.25:
+        raise NumericalInstabilityError(f"orthogonality sum {value!r} is not an integer")
+    return value, rounded
 
 
 def fourier_count(A: SetLike, k: int) -> tuple[float, int]:
@@ -265,18 +301,12 @@ def fourier_count(A: SetLike, k: int) -> tuple[float, int]:
 
     Returns (value, rounded).  Raises NumericalInstabilityError before summing
     when the a-priori error bound reaches 1/4 (|A| >= 42), and after it unless
-    the value is within 0.25 of an integer and the imaginary part of 0.
+    the value is within 0.25 of an integer.  Only the real part is summed:
+    the module docstring shows the imaginary part's bound.
     """
     A = as_intset(A)
-    m = len(A)
-    if _ERROR_C * m * 2**m >= 2**51:  # the bound reaches 1/4 = 2^51 u
-        raise NumericalInstabilityError(f"{m} elements: float error bound {_ERROR_C}*{m}*2^({m}-53) >= 1/4")
-    re, im, L = orthogonality_sum(A, k)
-    value = re / L
-    rounded = round(value)
-    if abs(value - rounded) > 0.25 or abs(im / L) > 0.25:
-        raise NumericalInstabilityError(f"orthogonality sum {value!r} (imag {im / L!r}) is not an integer")
-    return value, rounded
+    _check_error_bound(len(A))
+    return _rounded_count(*_chunk_products(A, k))
 
 
 def arc_classify(A: SetLike, k: int, K: float) -> ArcDiagnostics:
@@ -289,8 +319,9 @@ def arc_classify(A: SetLike, k: int, K: float) -> ArcDiagnostics:
     A = as_intset(A)
     if not 0 <= K < math.inf:  # NaN would make every frequency minor, inf every one major and K non-JSON
         raise DomainError(f"arc radius K must be finite and >= 0, got {K!r}")
-    L = _checked_lcm(A)
-    value, rounded = fourier_count(A, k)
+    L, chunks = _chunk_products(A, k)
+    _check_error_bound(len(A))
+    value, rounded = _rounded_count(L, chunks)
     h = _h_range(L)
     hs = np.arange(h.start, h.stop - 1, dtype=np.int64)
     hs[-h.start :] += 1  # J: h = 0 left out

@@ -129,6 +129,14 @@ def as_intset(A: SetLike) -> IntSet:
     return A if isinstance(A, IntSet) else IntSet(A)
 
 
+def positive_k(k) -> int:
+    """k as an int; DomainError unless k is an integer >= 1.  Booleans are refused,
+    as IntSet refuses them for elements."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise DomainError("k must be a positive integer")
+    return operator.index(k)
+
+
 def balanced_merge(terms: list[_T], merge: Callable[[_T, _T], _T], empty: _T) -> _T:
     """Fold terms with an associative merge as a balanced binary tree.
 

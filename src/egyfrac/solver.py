@@ -78,7 +78,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .rational import IntSet, SetLike, as_intset, recip_sum
+from .rational import IntSet, SetLike, as_intset, positive_k, recip_sum
 from .sieve import Factorization, factorize_all
 
 # _count_sums meets in the middle up to this many weights and runs its DP past them
@@ -737,8 +737,7 @@ def count_integral(A: SetLike, k: int) -> int:
     them cyclically, over L residues.
     """
     A = as_intset(A)
-    if k < 1:
-        raise DomainError("k must be a positive integer")
+    k = positive_k(k)
     L = math.lcm(*A.elements)
     return _count_sums([k * (L // n) % L for n in A.elements], 0, L, cyclic=True)
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import egyfrac.fourier
+import egyfrac.solver
 from egyfrac import (
     DomainError,
     IntSet,
@@ -43,6 +44,14 @@ def test_fourier_count_matches_dp_oracle():
         assert rounded == count_integral(A, k), (A, k, value)
         _, imag, _ = orthogonality_sum(A, k)
         assert abs(imag) <= 1e-6 * 2 ** len(A), (A, k, imag)
+    # the error bound's edge: 41 elements are admitted, and the bound that admits
+    # the real part keeps the imaginary part, which the count does not read, below it
+    A = divisors_above_one(720720)[:41]
+    assert math.lcm(*A) == 720720
+    _, rounded = fourier_count(A, 1)
+    assert rounded == count_integral(A, 1)
+    _, imag, L = orthogonality_sum(A, 1)
+    assert abs(imag / L) < egyfrac.fourier._ERROR_C * 41 * 2.0 ** (41 - 53), imag / L
 
 
 def test_fourier_refuses_counts_beyond_float_precision():
@@ -160,6 +169,15 @@ def test_exact_sum_falls_back_only_when_rounding_is_undecided(monkeypatch):
     monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
     x = np.random.default_rng(0).standard_normal(1000)
     assert egyfrac.fourier._exact_sum(x) == fsum(x.tolist()) and not calls
+    # each input is decided after its limb: the shift of each limb's units is recorded
+    scaled_int = egyfrac.fourier._scaled_int
+    shifts = []
+    monkeypatch.setattr(egyfrac.fourier, "_scaled_int", lambda units, sh: shifts.append(sh) or scaled_int(units, sh))
+    for limbs, x in [(1, [1.0, 2.0, 3.0]), (2, [1.0, -(1.0 - 2.0**-53)]), (3, [1.0, -1.0, 2.0**-100])]:
+        shifts.clear()
+        x = np.array(x)
+        assert egyfrac.fourier._exact_sum(x).hex() == fsum(x.tolist()).hex() and not calls, x
+        assert len(set(shifts)) == limbs, (x, shifts)
     # 1 + 2^-53 is a tie, and the limb total's one-unit tail bound straddles it
     assert egyfrac.fourier._exact_sum(np.array([1.0, 2.0**-53])) == 1.0 and calls
 
@@ -207,7 +225,10 @@ def test_table_kernel_matches_per_frequency_formula_bitwise():
 
 
 def _assert_kernel_matches_reference(A, k):
-    assert orthogonality_sum(A, k) == _reference_sum(A, k), (A, k)
+    want = _reference_sum(A, k)
+    assert orthogonality_sum(A, k) == want, (A, k)
+    if len(A) < 42:  # the count sums the real parts alone, to the same bits
+        assert fourier_count(A, k)[0] == want[0] / want[2], (A, k)
     assert arc_classify(A, k, 2.0).weights == _reference_weights(A, k), (A, k)
 
 
@@ -237,6 +258,23 @@ def test_kernel_across_three_chunks(k):
     A = divisors_above_one(360360)[:16]
     assert math.lcm(*A) == 360360 and 2 * egyfrac.fourier._CHUNK < 360360 < 3 * egyfrac.fourier._CHUNK
     _assert_kernel_matches_reference(A, k)
+
+
+def test_count_sums_one_part_per_chunk(monkeypatch):
+    calls = []
+    exact_sum = egyfrac.fourier._exact_sum
+    monkeypatch.setattr(egyfrac.fourier, "_exact_sum", lambda x: calls.append(len(x)) or exact_sum(x))
+    for A, chunks in [([2, 3, 6], 1), (divisors_above_one(27720)[:13], 1), (divisors_above_one(360360)[:16], 3)]:
+        calls.clear()
+        fourier_count(A, 1)
+        assert len(calls) == chunks and sum(calls) == math.lcm(*A), (A, calls)
+
+
+def test_arc_classify_folds_the_lcm_once(monkeypatch):
+    calls = []
+    checked_lcm = egyfrac.fourier._checked_lcm
+    monkeypatch.setattr(egyfrac.fourier, "_checked_lcm", lambda A: calls.append(A) or checked_lcm(A))
+    assert arc_classify([2, 3, 6], 1, 2.0).rounded == 2 and len(calls) == 1
 
 
 @pytest.mark.parametrize("length", [1, 5, 44])
@@ -274,6 +312,17 @@ def test_arc_byte_budget_covers_the_tracemalloc_peak(N, m):
     finally:
         tracemalloc.stop()
     assert peak <= _ARC_PEAK_BYTES_PER_FREQ * N, peak / N
+
+
+@pytest.mark.parametrize("k", [1.0, 2.5, True, False, 0, -1, "1", Fraction(2)], ids=repr)
+def test_k_that_is_not_a_positive_integer_is_refused_before_any_table(k, monkeypatch):
+    # a float k used to escape as IndexError or UFuncTypeError, and True was read as k = 1
+    _forbid_kernel(monkeypatch)
+    monkeypatch.setattr(egyfrac.fourier, "_phase_tables", None)
+    monkeypatch.setattr(egyfrac.solver, "_count_sums", None)
+    for call in (fourier_count, orthogonality_sum, count_integral, lambda A, k: arc_classify(A, k, 1.0)):
+        with pytest.raises(DomainError, match="^k must be a positive integer$"):
+            call([2, 3, 6], k)
 
 
 def test_fourier_resource_error():
