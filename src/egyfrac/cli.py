@@ -248,7 +248,8 @@ def _experiment_prune_demo(args):
 
     For each admissible denominator d the current pool is pruned into the
     window [2/d - 1/lo, 2/d) and handed to the arc diagnostics; a stage they
-    refuse is recorded as skipped.
+    refuse is recorded as skipped.  The stages stop at the first d whose
+    pool is empty.
     """
     if args.y <= 0:
         raise DomainError(f"--y must be positive, got {args.y}")
@@ -275,8 +276,12 @@ def _experiment_prune_demo(args):
     current = IntSet(pool)
     # the pool's exact reciprocal sum, carried from each pruned stage's r_final
     mass = recip_sum(current)
-    ds = list(range(math.ceil(args.y), max(math.ceil(args.y), math.floor(args.z / 4)) + 1))
-    for d in ds:
+    # d runs lazily and stops at an empty pool: once 2/d < 1/hi, every stage empties a
+    # nonempty pool (a nonempty sum is at least 1/hi), so the loop ends by d = 2 * hi + 1
+    y = math.ceil(args.y)
+    for d in range(y, max(y, math.floor(args.z / 4)) + 1):
+        if not current:
+            break
         alpha = Fraction(2, d)
         stage: dict = {"d": d, "alpha": format_rational(alpha), "input_size": len(current)}
         if mass < alpha:

@@ -166,6 +166,7 @@ def prune_to_window(A: SetLike, alpha, theta, M: int, t: FactorTable) -> PruneTr
     the working set, and neither is rebuilt.  theta = 0 builds neither:
     no mass is below 0, so the core is the whole working set, the floor
     always holds, and the trimmer removes elements in ascending order.
+    alpha must be positive: no reciprocal sum lies below alpha <= 0.
     """
     A = as_intset(A)
     alpha = Fraction(alpha)
@@ -174,6 +175,8 @@ def prune_to_window(A: SetLike, alpha, theta, M: int, t: FactorTable) -> PruneTr
         raise DomainError("theta must be >= 0")
     if M < 1:
         raise DomainError("M must be >= 1")
+    if alpha <= 0:
+        raise DomainError(f"alpha must be > 0, got {_brief(alpha)}")
     r_initial = recip_sum(A)
     if r_initial < alpha:
         raise DomainError(f"need recip_sum(A) >= alpha, got {_brief(r_initial)} < {_brief(alpha)}")

@@ -61,8 +61,11 @@ block of the large-prime pass or the larger half's sums of a
 ``meet_middle`` search, is checked against ``_BYTE_BUDGET`` before it is
 allocated.  ``_count_sums``
 meets in the middle up to ``_EXHAUSTIVE_BOUND`` weights and runs its DP
-past them; ``_meet``, over sorted numpy arrays of subset sums, is the one
-meet in the middle of that count and of the ``meet_middle`` search.
+past them; ``_meet`` is the one meet in the middle of that count and of
+the ``meet_middle`` search.  Each caller enumerates each half's sums once
+and hands both to ``_meet``, which sorts the left sums in place; the search
+takes a stable argsort of them first and reads the left subsets that
+complete a right subset from it, in ascending index within a sum.
 """
 from __future__ import annotations
 
@@ -291,22 +294,21 @@ def _enumerate_sums(weights: Sequence[int] | np.ndarray, top: int = 0) -> np.nda
     return out
 
 
-def _meet(weights: Sequence[int], r: int, top: int, modulus: Optional[int]) -> tuple[np.ndarray, ...]:
-    """Meet in the middle over the subset sums of two alternating halves of
-    the weights (``_enumerate_sums``, with ``top`` bounding r, the modulus
-    and every sum and difference, so both halves take one dtype).
+def _meet(left: np.ndarray, right: np.ndarray, r: int, modulus: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Meet in the middle over two halves' subset sums (``_enumerate_sums``
+    of ``_alternating_split``, taken with one ``top`` bounding r, the modulus
+    and every sum and difference, so both take one dtype).
 
-    Returns (left, lo, hi): ``left`` holds the left half's sums, sorted in
-    place, and left[lo[j] : hi[j]] are those that complete right subset j to
-    r, mod ``modulus`` unless it is None.
+    Sorts ``left`` in place, reduced mod ``modulus`` unless it is None, and
+    returns (lo, hi): left[lo[j] : hi[j]] are the left sums that complete
+    right sum j to r.
     """
-    left, right = (_enumerate_sums(half, top) for half in _alternating_split(weights))
     needed = r - right
     if modulus is not None:
         left %= modulus
         needed %= modulus
     left.sort()
-    return left, np.searchsorted(left, needed, side="left"), np.searchsorted(left, needed, side="right")
+    return np.searchsorted(left, needed, side="left"), np.searchsorted(left, needed, side="right")
 
 
 def _subset(half: Sequence[int], j: int) -> tuple[int, ...]:
@@ -314,6 +316,9 @@ def _subset(half: Sequence[int], j: int) -> tuple[int, ...]:
 
 
 def _find_meet(elems: Sequence[int], weights: Sequence[int], T: int, cfg: SolverConfig) -> SolverResult:
+    """Each half's sums are enumerated once; the left subsets completing right
+    subset j are order[lo[j] : hi[j]], with order a stable argsort of the left
+    sums.  The smallest witness when deterministic, else the first hit."""
     left, right = _alternating_split(elems)
     # each element of a half spends one node per sum it adds
     nodes = 2 ** len(left) + 2 ** len(right) - 2
@@ -323,18 +328,13 @@ def _find_meet(elems: Sequence[int], weights: Sequence[int], T: int, cfg: Solver
     # the larger half's sums: int64, or past 2^62 pointers to ints of up to top's size (see _enumerate_sums)
     entry = 8 if top < 1 << 62 else 8 + 32 + 8 * (top.bit_length() // 30)
     _check_bytes(entry << len(left), "the subset sums of a meet-in-the-middle half")
-    sums, lo, hi = _meet(weights, T, top, None)
-    hits = np.flatnonzero(hi > lo)
-    values = sums[lo[hits]]
-    # the left subsets with each hit value, ascending, so that the first hit does not depend on the sort
-    left_sums = _enumerate_sums(_alternating_split(weights)[0], top)
-    found = np.flatnonzero(np.isin(left_sums, values))
-    completing = defaultdict(list)
-    for jl, value in zip(found.tolist(), left_sums[found].tolist()):
-        completing[value].append(jl)
+    left_sums, right_sums = (_enumerate_sums(half, top) for half in _alternating_split(weights))
+    # stable: the left subsets of one sum come in ascending index, whatever the sort's algorithm
+    order = left_sums.argsort(kind="stable")
+    lo, hi = _meet(left_sums, right_sums, T, None)
     best: Optional[tuple[int, ...]] = None
-    for jr, value in zip(hits.tolist(), values.tolist()):
-        for jl in completing[value]:
+    for jr in np.flatnonzero(hi > lo).tolist():
+        for jl in order[lo[jr] : hi[jr]].tolist():
             candidate = tuple(sorted(_subset(left, jl) + _subset(right, jr)))
             if not cfg.deterministic:
                 return _result(candidate, nodes, cfg.node_budget)
@@ -381,8 +381,8 @@ def _count_sums(weights: Sequence[int], r: int, width: int, cyclic: bool = False
 
     Up to ``_EXHAUSTIVE_BOUND`` weights it meets in the middle through
     ``_meet``, the kernel ``_find_meet`` searches with: the left sums are
-    sorted, and two binary searches count the left sums equal to each right
-    sum's complement.  Past that it runs a DP over a table of
+    sorted in place, and two binary searches count the left sums equal to
+    each right sum's complement.  Past that it runs a DP over a table of
     ``width`` counts: int64 up to 62 weights, since a count is below 2^k for
     k weights, and past that pointers to ints of at most 32 + 8 * (k // 30)
     bytes.  Raises ResourceLimitError before allocating when the table and
@@ -390,7 +390,8 @@ def _count_sums(weights: Sequence[int], r: int, width: int, cyclic: bool = False
     """
     k = len(weights)
     if k <= _EXHAUSTIVE_BOUND:
-        _, lo, hi = _meet(weights, r, sum(weights) + width, width if cyclic else None)
+        halves = (_enumerate_sums(half, sum(weights) + width) for half in _alternating_split(weights))
+        lo, hi = _meet(*halves, r, width if cyclic else None)
         return int((hi - lo).sum())
     dtype, entry = (np.int64, 8) if k <= 62 else (object, 8 + 32 + 8 * (k // 30))
     _check_bytes(2 * width * entry, "the table of subset-sum counts")

@@ -303,6 +303,23 @@ def test_experiment_prune_demo_runs_the_diagnostics_on_an_emptied_pool(tmp_path,
     capsys.readouterr()
 
 
+def test_experiment_prune_demo_stops_at_an_empty_pool(tmp_path, capsys):
+    # the stages stop after d = 12 empties the pool [6], where --z 200 admits d up to 50
+    rc = main(["experiment", "prune-demo", "--lo", "4", "--hi", "6", "--y", "1", "--z", "200",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    stages = json.loads((tmp_path / "prune_demo_4_6.json").read_text())["stages"]
+    assert [st["d"] for st in stages] == list(range(1, 13))
+    assert stages[-1]["trace"]["final"] == []
+    # d runs lazily, so a --z of 1e300 neither lists every d up to z/4 nor overflows; past
+    # d = 2 * hi + 1 every stage would empty the pool, so at most 2 * 20 + 1 stages run
+    rc = main(["experiment", "prune-demo", "--lo", "4", "--hi", "20", "--z", "1e300", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    stages = json.loads((tmp_path / "prune_demo_4_20.json").read_text())["stages"]
+    assert stages and len(stages) <= 41 and stages[-1]["trace"]["final"] == []
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "flags,keep",
     [(["--omega-lo", "2"], lambda w: w >= 2), (["--omega-hi", "1"], lambda w: w <= 1)],

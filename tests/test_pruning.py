@@ -105,11 +105,24 @@ def test_prune_to_window_builds_no_class_index_at_theta_zero(small_table, monkey
     monkeypatch.setattr(egyfrac.pruning, "_ClassIndex", index_built)
     tr = prune_to_window([4, 5, 6, 20], Fraction(1, 2), 0, 4, small_table)
     assert tr.removed_elements == (4,) and tr.final == IntSet([5, 6, 20])
-    # the element-1 refusal and the emptied-set error need no decomposition either
+    # the element-1 and alpha = 0 refusals need no decomposition either
     with pytest.raises(DomainError, match="^element 1 has no prime-power divisors$"):
         prune_to_window([1, 2], 1, 0, 1, small_table)
-    with pytest.raises(InfeasibleError, match="emptied the set"):
+    with pytest.raises(DomainError, match="^alpha must be > 0"):
         prune_to_window([4, 6], 0, 0, 4, small_table)
+
+
+@pytest.mark.parametrize("theta", [0, Fraction(1, 4)])
+@pytest.mark.parametrize("alpha", [0, -1, Fraction(-1, 3)])
+def test_prune_to_window_refuses_alpha_at_most_zero(alpha, theta, small_table, monkeypatch):
+    # no set has a reciprocal sum below alpha <= 0: refused before the sum or any class index
+    def work_done(*args, **kwargs):
+        raise AssertionError("prune_to_window worked on an alpha it refuses")
+
+    for name in ("recip_sum", "build_decomposition", "_ClassIndex"):
+        monkeypatch.setattr(egyfrac.pruning, name, work_done)
+    with pytest.raises(DomainError, match=r"^alpha must be > 0, got "):
+        prune_to_window([4, 6, 8], alpha, theta, 4, small_table)
 
 
 def test_prune_to_window_infeasible(small_table):

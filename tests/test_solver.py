@@ -144,6 +144,25 @@ def test_meet_refuses_sums_past_the_byte_budget_before_enumerating(monkeypatch):
     assert calls
 
 
+def test_find_meet_enumerates_each_half_once(monkeypatch):
+    # the left subsets that complete a right subset are read from a stable sort
+    # order of the left sums, not from a second enumeration of the left half
+    calls = []
+    enumerate_sums = solver._enumerate_sums
+
+    def spy(*args):
+        calls.append(args)
+        return enumerate_sums(*args)
+
+    monkeypatch.setattr(solver, "_enumerate_sums", spy)
+    for A in (range(2, 24), FIRST_PRIMES):
+        for deterministic in (True, False):
+            calls.clear()
+            cfg = SolverConfig(strategy=Strategy.MEET_MIDDLE, deterministic=deterministic)
+            assert find_subset(A, recip_sum(A[:3]), cfg).status == SolverStatus.FOUND
+            assert len(calls) == 2, (A, deterministic)
+
+
 def test_count_subsets_examples():
     assert count_subsets([2, 3, 4, 6, 12], 1) == 2
     assert brute_subsets_with_sum([2, 3, 4, 6, 12], 1) == [(2, 3, 6), (2, 4, 6, 12)]
