@@ -47,12 +47,7 @@ from .solver import (
     lambda_exact,
     reduce_to_core,
 )
-from .fourier import (
-    ArcDiagnostics,
-    arc_classify,
-    fourier_count,
-    orthogonality_sum,
-)
+from .fourier import ArcDiagnostics, arc_classify, fourier_count
 from .pruning import PruneTrace, prune_ppower, prune_to_window
 from .pomerance import (
     PomeranceReport,
@@ -98,7 +93,6 @@ __all__ = [
     "mertens_q_sum",
     "omega",
     "omega_in_range",
-    "orthogonality_sum",
     "parse_rational",
     "passes_smoothness",
     "pomerance_set",

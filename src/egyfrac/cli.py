@@ -143,7 +143,9 @@ def cmd_decompose(args) -> int:
 
 
 def _experiment_mertens(args):
-    t = build_table(max(args.X, 2))
+    if args.X < 2:
+        raise DomainError(f"--X must be at least 2, got {args.X}")
+    t = build_table(args.X)
     value = mertens_q_sum(args.X, t)
     lnln = math.log(math.log(args.X)) if args.X >= 3 else None
     payload = {
@@ -157,6 +159,8 @@ def _experiment_mertens(args):
 
 
 def _experiment_sieve(args):
+    if args.N < 1:
+        raise DomainError(f"--N must be at least 1, got {args.N}")
     if not 1 < args.y < args.z:
         raise DomainError("sieve experiment needs 1 < y < z")
     t = build_table(2 * args.N)
@@ -251,6 +255,10 @@ def _experiment_prune_demo(args):
     refuse is recorded as skipped.  The stages stop at the first d whose
     pool is empty.
     """
+    if args.lo < 1:
+        raise DomainError(f"--lo must be at least 1, got {args.lo}")
+    if args.hi < args.lo:
+        raise DomainError(f"--hi must be at least --lo {args.lo}, got {args.hi}")
     if args.y <= 0:
         raise DomainError(f"--y must be positive, got {args.y}")
     # a missing omega bound leaves that side open

@@ -18,9 +18,9 @@ periodic in h with period lcm(n_1..n_j), so _gathered_product forms it over
 min(lcm(n_1..n_j), chunk) entries of one chunk-length buffer, copied forward
 in place as the period grows, and multiplies each table in as one rotated row,
 all rows taken by one gather: sum over j of min(lcm(n_1..n_j), chunk)
-multiplies per chunk, and no modulo over h.  One generator, _chunk_products,
-yields the chunks' products in order on the calling thread, to
-orthogonality_sum and to the count alike.
+multiplies per chunk, and no modulo over h.  One walk, _walk, forms the chunks'
+products in order on the calling thread: the count walks the root tables, and
+arc_classify's weights walk the cosine tables on the same phases.
 A count is refused before any product is formed when its
 a-priori error bound 18 m 2^m u (u = 2^-53, m = |A|) reaches 1/4: m >= 42.
 A table entry 1 + e(j/n) is within 23u of exact (three roundings in the phase,
@@ -33,18 +33,22 @@ The count sums only the real part of each chunk.  The exact sum is L times a
 count, so its imaginary part is 0, and the same bound holds for each
 product's imaginary part and for the imaginary sum: the computed imaginary
 part over L is below 17 m 2^m u < 1/4 wherever the count is admitted, and a
-test of it could never refuse.  orthogonality_sum, which returns it, still
-sums both parts.
+test of it could never refuse.
 
-The arc diagnostics hold the frequencies, the major-arc mask and the weights
-as three numpy arrays, 17 bytes a frequency, and build the tuples and the
-dict of their public accessors only when those are read; their JSON lists each
-arc as an inclusive run [lo, hi] of h.  arc_classify peaks at about 49 bytes a
-frequency (tracemalloc), so _LCM_BOUND = 10^6, which every entry point checks
-before it builds any table or array, holds it near 50 MB.  The check folds the
-lcm 64 elements at a time and stops once it passes max(2^64, _LCM_BOUND), so a
-set whose lcm runs to thousands of digits is refused at the cost of a few
-folds, with a message that gives the lcm's bit length so far and not the lcm.
+The arc diagnostics hold the major-arc mask and the weights as two numpy
+arrays, 9 bytes a frequency; their accessors rebuild the frequencies from L
+and build their tuples and dict only when read, and their JSON lists each arc
+as an inclusive run [lo, hi] of h.  Memory grows with sum(A) as well as with
+L: a call peaks (tracemalloc) at about 57 bytes a table entry (the phase
+tables, the root table and one gather's indices and rows) plus 33 bytes a
+frequency (arc_classify's mask, weights and the minor weights' scaled copy).
+The 41 largest divisors of 720720 (sum 2,946,340) peak at 159.4 MiB, 56.7
+bytes an entry, and small divisors of 27720 to 720720 at 33.0 to 33.3 bytes a
+frequency.  _LCM_BOUND = 10^6, which every entry point checks before it
+builds any table or array, holds the frequency term near 33 MB.  The check
+folds the lcm 64 elements at a time and stops once it passes max(2^64,
+_LCM_BOUND), so a set whose lcm runs to thousands of digits is refused at the
+cost of a few folds, with a message that gives its bit length so far.
 """
 from __future__ import annotations
 
@@ -69,12 +73,12 @@ class ArcDiagnostics:
     """Full frequency classification for one (A, k, K) instance.
 
     Frequencies run over J = (-L/2, L/2] excluding 0; h is major when
-    |h - t*L/k| <= K/(2k) for some integer t, otherwise minor.  hs is J in
-    ascending order, major_mask marks its major frequencies and weight_array
-    holds C(A; h) for each; the three arrays are read-only.  major_hs,
-    minor_hs and weights give them as Python tuples and a dict, built on
-    first access.  Equality compares the arrays with np.array_equal; the hash
-    leaves them out.
+    |h - t*L/k| <= K/(2k) for some integer t, otherwise minor.  Over J in
+    ascending order, major_mask marks the major frequencies and weight_array
+    holds C(A; h) for each; the two arrays are read-only.  major_hs,
+    minor_hs and weights give them as Python tuples and a dict, with J
+    rebuilt from L, on first access.  Equality compares the arrays with
+    np.array_equal; the hash leaves them out.
     """
 
     L: int
@@ -83,7 +87,6 @@ class ArcDiagnostics:
     fourier_value: float
     rounded: int
     minor_weight_sum: float
-    hs: np.ndarray = field(repr=False, hash=False)
     major_mask: np.ndarray = field(repr=False, hash=False)
     weight_array: np.ndarray = field(repr=False, hash=False)
 
@@ -95,16 +98,16 @@ class ArcDiagnostics:
 
     @cached_property
     def major_hs(self) -> tuple[int, ...]:
-        return tuple(self.hs[self.major_mask].tolist())
+        return tuple(_frequencies(self.L)[self.major_mask].tolist())
 
     @cached_property
     def minor_hs(self) -> tuple[int, ...]:
-        return tuple(self.hs[~self.major_mask].tolist())
+        return tuple(_frequencies(self.L)[~self.major_mask].tolist())
 
     @cached_property
     def weights(self) -> dict[int, float]:
         """C(A; h) for every h in J."""
-        return dict(zip(self.hs.tolist(), self.weight_array.tolist()))
+        return dict(zip(_frequencies(self.L).tolist(), self.weight_array.tolist()))
 
     def to_json_dict(self) -> dict:
         start = _h_range(self.L).start
@@ -134,6 +137,14 @@ class ArcDiagnostics:
 def _h_range(L: int) -> range:
     """The frequencies h in (-L/2, L/2]."""
     return range(-((L - 1) // 2), L // 2 + 1)
+
+
+def _frequencies(L: int) -> np.ndarray:
+    """J, the h in (-L/2, L/2] without 0, ascending, as int64."""
+    h = _h_range(L)
+    hs = np.arange(h.start, h.stop - 1, dtype=np.int64)
+    hs[-h.start :] += 1
+    return hs
 
 
 def _runs(mask: np.ndarray, start: int) -> list[list[int]]:
@@ -244,41 +255,11 @@ def _gathered_product(
     return buf[:size]
 
 
-def _chunk_products(A: IntSet, k: int) -> tuple[int, Iterator[np.ndarray]]:
-    """L = lcm(A), and the orthogonality sum's products over the chunks of h, in order.
-
-    k and the lcm are checked on the call.  When the first chunk is read, k
-    is reduced mod L (it enters only through (k h) mod n, and every n divides
-    L), the 64-bit phase reduction is checked and then the root tables are
-    built; each chunk's product is formed as it is read.  So a caller can
-    refuse the set between the call and the first product.
-    """
-    k = positive_k(k)
-    L = _checked_lcm(A)
-
-    def chunks() -> Iterator[np.ndarray]:
-        kr = k % L
-        if kr * L > 2**62:
-            raise ResourceLimitError("k * lcm too large for exact 64-bit phase reduction")
-        num, den = _phase_tables(A)
-        roots = 1.0 + np.exp((2j * np.pi) * (num / den))  # 1 + e(j/n)
-        h = _h_range(L)
-        for start in h[::_CHUNK]:
-            yield _gathered_product(roots, (num, den), A, kr, start, min(_CHUNK, h.stop - start))
-
-    return L, chunks()
-
-
-def orthogonality_sum(A: SetLike, k: int) -> tuple[float, float, int]:
-    """Evaluate the orthogonality sum; returns (real part, imag part, L).
-
-    The h-range is processed in fixed-size chunks, each part of each chunk
-    exactly rounded by _exact_sum, and the per-chunk results are combined in
-    order on the calling thread.
-    """
-    L, chunks = _chunk_products(as_intset(A), k)
-    partials = [(_exact_sum(prod.real), _exact_sum(prod.imag)) for prod in chunks]
-    return math.fsum(p[0] for p in partials), math.fsum(p[1] for p in partials), L
+def _walk(tables: np.ndarray, phases: tuple[np.ndarray, np.ndarray], A: IntSet, k: int, L: int) -> Iterator[np.ndarray]:
+    """_gathered_product over h in (-L/2, L/2], one _CHUNK-long piece at a time, in order."""
+    h = _h_range(L)
+    for start in h[::_CHUNK]:
+        yield _gathered_product(tables, phases, A, k, start, min(_CHUNK, h.stop - start))
 
 
 def _check_error_bound(m: int) -> None:
@@ -287,13 +268,19 @@ def _check_error_bound(m: int) -> None:
         raise NumericalInstabilityError(f"{m} elements: float error bound {_ERROR_C}*{m}*2^({m}-53) >= 1/4")
 
 
-def _rounded_count(L: int, chunks: Iterator[np.ndarray]) -> tuple[float, int]:
-    """The count from _chunk_products: the real parts' sum over L, and its nearest integer."""
-    value = math.fsum(_exact_sum(prod.real) for prod in chunks) / L
+def _count(A: IntSet, k: int, L: int) -> tuple[int, tuple[np.ndarray, np.ndarray], float, int]:
+    """k mod L (k enters only through (k h) mod n, and n divides L = lcm(A)), the
+    phase tables, and the count: the real parts' sum over L and its nearest integer."""
+    kr = k % L
+    if kr * L > 2**62:
+        raise ResourceLimitError("k * lcm too large for exact 64-bit phase reduction")
+    phases = num, den = _phase_tables(A)
+    roots = 1.0 + np.exp((2j * np.pi) * (num / den))  # 1 + e(j/n)
+    value = math.fsum(_exact_sum(prod.real) for prod in _walk(roots, phases, A, kr, L)) / L
     rounded = round(value)
     if abs(value - rounded) > 0.25:
         raise NumericalInstabilityError(f"orthogonality sum {value!r} is not an integer")
-    return value, rounded
+    return kr, phases, value, rounded
 
 
 def fourier_count(A: SetLike, k: int) -> tuple[float, int]:
@@ -306,7 +293,9 @@ def fourier_count(A: SetLike, k: int) -> tuple[float, int]:
     """
     A = as_intset(A)
     _check_error_bound(len(A))
-    return _rounded_count(*_chunk_products(A, k))
+    k = positive_k(k)
+    _, _, value, rounded = _count(A, k, _checked_lcm(A))
+    return value, rounded
 
 
 def arc_classify(A: SetLike, k: int, K: float) -> ArcDiagnostics:
@@ -319,25 +308,24 @@ def arc_classify(A: SetLike, k: int, K: float) -> ArcDiagnostics:
     A = as_intset(A)
     if not 0 <= K < math.inf:  # NaN would make every frequency minor, inf every one major and K non-JSON
         raise DomainError(f"arc radius K must be finite and >= 0, got {K!r}")
-    L, chunks = _chunk_products(A, k)
+    k = positive_k(k)
+    L = _checked_lcm(A)
     _check_error_bound(len(A))
-    value, rounded = _rounded_count(L, chunks)
-    h = _h_range(L)
-    hs = np.arange(h.start, h.stop - 1, dtype=np.int64)
-    hs[-h.start :] += 1  # J: h = 0 left out
-    # k*h mod L, exactly in integers; 2 min(r, L - r) <= K iff min(r, L - r) <= floor(K) // 2
-    kr = k % L
-    r = hs * kr
+    kr, phases, value, rounded = _count(A, k, L)
+    # k*h mod L over J, exactly in integers; 2 min(r, L - r) <= K iff min(r, L - r) <= floor(K) // 2
+    r = _frequencies(L)
+    r *= kr
     r %= L
     reach = min(math.floor(K) // 2, L)
     major_mask = r <= reach
     major_mask |= r >= L - reach
     del r
-    num, den = _phase_tables(A)
+    num, den = phases
     fold = np.minimum(num, den - num)
     cosines = np.where(2 * fold == den, 0.0, np.abs(np.cos(np.pi * fold / den)))  # |cos(pi j / n)|, 0 where 2j = n
-    weight_array = np.delete(_gathered_product(cosines, (num, den), A, kr, h.start, L), -h.start)  # h = 0 left out
-    for a in (hs, major_mask, weight_array):
+    chunks = _walk(cosines, phases, A, kr, L)
+    weight_array = np.delete(np.concatenate(list(chunks)), -_h_range(L).start)  # h = 0 left out
+    for a in (major_mask, weight_array):
         a.flags.writeable = False
     return ArcDiagnostics(
         L=L,
@@ -346,7 +334,6 @@ def arc_classify(A: SetLike, k: int, K: float) -> ArcDiagnostics:
         fourier_value=value,
         rounded=rounded,
         minor_weight_sum=_exact_sum(weight_array[~major_mask]),
-        hs=hs,
         major_mask=major_mask,
         weight_array=weight_array,
     )

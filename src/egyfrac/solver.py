@@ -57,7 +57,7 @@ would complete a solution; n is included only while the bit is clear.
 
 Every DP table, a run of sets from the one reachability kernel
 ``_subset_sums``, a count array of its counting twin ``_count_sums``, a
-block of the large-prime pass or the larger half's sums of a
+block of the large-prime pass or the six half-sized arrays of a
 ``meet_middle`` search, is checked against ``_BYTE_BUDGET`` before it is
 allocated.  ``_count_sums``
 meets in the middle up to ``_EXHAUSTIVE_BOUND`` weights and runs its DP
@@ -325,9 +325,11 @@ def _find_meet(elems: Sequence[int], weights: Sequence[int], T: int, cfg: Solver
     if nodes > cfg.node_budget:
         return _result(None, nodes, cfg.node_budget)
     top = sum(weights)
-    # the larger half's sums: int64, or past 2^62 pointers to ints of up to top's size (see _enumerate_sums)
+    # a sum: int64, or past 2^62 a pointer to an int of up to top's size (see _enumerate_sums)
     entry = 8 if top < 1 << 62 else 8 + 32 + 8 * (top.bit_length() // 30)
-    _check_bytes(entry << len(left), "the subset sums of a meet-in-the-middle half")
+    # held at once: the left sums and their int64 stable order; the right sums, needed and lo and hi
+    nbytes = ((entry + 8) << len(left)) + ((2 * entry + 16) << len(right))
+    _check_bytes(nbytes, "the subset sums of a meet in the middle and their search arrays")
     left_sums, right_sums = (_enumerate_sums(half, top) for half in _alternating_split(weights))
     # stable: the left subsets of one sum come in ascending index, whatever the sort's algorithm
     order = left_sums.argsort(kind="stable")

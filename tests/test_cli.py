@@ -412,13 +412,19 @@ def test_solve_reproducible_json(set_file, tmp_path):
         (["fourier", "{set}", "--k", "1", "--arc-width", "nan"], "--arc-width"),
         (["fourier", "{set}", "--k", "1", "--arc-width", "inf"], "--arc-width"),
         (["experiment", "prune-demo", "--lo", "4", "--hi", "150", "--theta", "-1", "--out-dir", "{tmp}"], "--theta"),
+        (["experiment", "prune-demo", "--lo", "0", "--out-dir", "{tmp}"], "--lo"),
+        (["experiment", "prune-demo", "--lo", "5", "--hi", "3", "--out-dir", "{tmp}"], "--hi"),
+        (["experiment", "mertens", "--X", "-5", "--out-dir", "{tmp}"], "--X"),
+        (["experiment", "mertens", "--X", "1", "--out-dir", "{tmp}"], "--X"),
+        (["experiment", "sieve", "--N", "0", "--out-dir", "{tmp}"], "--N"),
     ],
     ids=["missing-target", "bad-strategy", "bad-threads", "zero-budget", "out-in-missing-dir", "out-dir-is-file",
          "decompose-table-bound", "prune-demo-y-zero", "prune-demo-y-negative", "sieve-z-inf",
          "pomerance-N-zero", "pomerance-step-zero", "pomerance-step-negative", "lambda-max-one",
          "prune-demo-omega-lo-nan", "prune-demo-omega-hi-nan", "prune-demo-smooth-bound-nan", "pomerance-C-nan",
          "pomerance-sweep-C-nan", "fourier-threads-zero", "prune-demo-threads-negative", "fourier-arc-width-nan",
-         "fourier-arc-width-inf", "prune-demo-theta-negative"],
+         "fourier-arc-width-inf", "prune-demo-theta-negative", "prune-demo-lo-zero", "prune-demo-hi-below-lo",
+         "mertens-X-negative", "mertens-X-one", "sieve-N-zero"],
 )
 def test_usage_errors_exit_64(argv, named, set_file, tmp_path, capsys):
     # argparse must not exit 2, the budget code, and none of these may end in a traceback;

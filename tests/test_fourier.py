@@ -19,7 +19,6 @@ from egyfrac import (
     arc_classify,
     count_integral,
     fourier_count,
-    orthogonality_sum,
     recip_sum,
 )
 from helpers import cosine_weight, divisors_above_one, random_lcm_capped_set
@@ -42,16 +41,11 @@ def test_fourier_count_matches_dp_oracle():
         k = rng.choice([1, 2, 3])
         value, rounded = fourier_count(A, k)
         assert rounded == count_integral(A, k), (A, k, value)
-        _, imag, _ = orthogonality_sum(A, k)
-        assert abs(imag) <= 1e-6 * 2 ** len(A), (A, k, imag)
-    # the error bound's edge: 41 elements are admitted, and the bound that admits
-    # the real part keeps the imaginary part, which the count does not read, below it
+    # the error bound's edge: 41 elements are admitted
     A = divisors_above_one(720720)[:41]
     assert math.lcm(*A) == 720720
     _, rounded = fourier_count(A, 1)
     assert rounded == count_integral(A, 1)
-    _, imag, L = orthogonality_sum(A, 1)
-    assert abs(imag / L) < egyfrac.fourier._ERROR_C * 41 * 2.0 ** (41 - 53), imag / L
 
 
 def test_fourier_refuses_counts_beyond_float_precision():
@@ -80,16 +74,16 @@ def test_fourier_refuses_before_forming_products(monkeypatch):
 
 def test_arc_classify_refuses_over_byte_budget_before_forming_products(monkeypatch):
     _forbid_kernel(monkeypatch)
-    # lcm 9699690, past the lcm bound: its diagnostics would take some 475 MB, so no product may be formed
+    # lcm 9699690, past the lcm bound: its diagnostics would take some 320 MB, so no product may be formed
     with pytest.raises(ResourceLimitError, match="exceeds bound"):
         arc_classify([2, 3, 5, 7, 11, 13, 17, 19], 1, 1.0)
 
 
 def test_every_entry_point_refuses_past_the_lcm_bound_before_forming_products(monkeypatch):
-    # the bound is read at call time; set below lcm(2, 3, 6) = 6, it refuses all three entry points
+    # the bound is read at call time; set below lcm(2, 3, 6) = 6, it refuses both entry points
     _forbid_kernel(monkeypatch)
     monkeypatch.setattr(egyfrac.fourier, "_LCM_BOUND", 5)
-    for call in (orthogonality_sum, fourier_count, lambda A, k: arc_classify(A, k, 1.0)):
+    for call in (fourier_count, lambda A, k: arc_classify(A, k, 1.0)):
         with pytest.raises(ResourceLimitError, match="^lcm 6 exceeds bound 5$"):
             call([2, 3, 6], 1)
     # arc_classify checks the lcm before the float error bound refuses 80 elements
@@ -100,17 +94,22 @@ def test_every_entry_point_refuses_past_the_lcm_bound_before_forming_products(mo
 
 def test_lcm_check_stops_past_its_cap(monkeypatch):
     # the check folds 64 elements at a time and gives up past max(2^64, bound): the first
-    # block of 2..12000 already has lcm(2..65), 90 bits, and no later block is folded
+    # block of 2..12000 already has lcm(2..65), 90 bits, and no later block is folded;
+    # arc_classify checks the lcm before the float error bound, which refuses these sets too
     _forbid_kernel(monkeypatch)
     with pytest.raises(ResourceLimitError, match="^lcm of at least 90 bits exceeds bound 1000000$"):
-        orthogonality_sum(range(2, 12001), 1)
-    # a bound above 2^64 raises the cap with it: lcm(2..65) is below it, lcm(2..129) above,
-    # and lcm(2..59), of 85 bits, passes the lcm check to be refused by the phase reduction
+        arc_classify(range(2, 12001), 1, 1.0)
+    # a bound above 2^64 raises the cap with it: lcm(2..65) is below it, lcm(2..129) above
     monkeypatch.setattr(egyfrac.fourier, "_LCM_BOUND", 10**30)
     with pytest.raises(ResourceLimitError, match=f"^lcm of at least {math.lcm(*range(2, 130)).bit_length()} bits"):
-        orthogonality_sum(range(2, 200), 1)
-    with pytest.raises(ResourceLimitError, match="64-bit phase reduction"):
-        orthogonality_sum(range(2, 60), 1)
+        arc_classify(range(2, 200), 1, 1.0)
+    # the primes to 29 pass both the lcm check (L = 6469693230) and the error bound, and
+    # k = L - 1, read mod L, is refused by the phase reduction: (L - 1) * L > 2^62
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    L = math.lcm(*primes)
+    for call in (fourier_count, lambda A, k: arc_classify(A, k, 1.0)):
+        with pytest.raises(ResourceLimitError, match="64-bit phase reduction"):
+            call(primes, L - 1)
 
 
 def _sum_outcome(sum_fn, x):
@@ -219,16 +218,14 @@ def test_table_kernel_matches_per_frequency_formula_bitwise():
         A = random_lcm_capped_set(rng, 2, 80, 16, cap)
         k = rng.choice([1, 2, 3])
         want = _reference_sum(A, k)
-        assert orthogonality_sum(A, k) == want, (A, k)
+        assert fourier_count(A, k)[0] == want[0] / want[2], (A, k)
         if want[2] <= 2 * 10**4:
             assert arc_classify(A, k, 2.0).weights == _reference_weights(A, k), (A, k)
 
 
 def _assert_kernel_matches_reference(A, k):
     want = _reference_sum(A, k)
-    assert orthogonality_sum(A, k) == want, (A, k)
-    if len(A) < 42:  # the count sums the real parts alone, to the same bits
-        assert fourier_count(A, k)[0] == want[0] / want[2], (A, k)
+    assert fourier_count(A, k)[0] == want[0] / want[2], (A, k)
     assert arc_classify(A, k, 2.0).weights == _reference_weights(A, k), (A, k)
 
 
@@ -236,7 +233,6 @@ def test_kernel_on_the_empty_set():
     for k in (1, 2, 3):
         _assert_kernel_matches_reference([], k)
         assert fourier_count([], k) == (1.0, 1)
-        assert orthogonality_sum([], k) == (1.0, 0.0, 1)
 
 
 def test_kernel_on_a_set_containing_one():
@@ -270,6 +266,18 @@ def test_count_sums_one_part_per_chunk(monkeypatch):
         assert len(calls) == chunks and sum(calls) == math.lcm(*A), (A, calls)
 
 
+def test_arc_classify_walks_each_table_in_chunks(monkeypatch):
+    # L = 360360 spans three chunks: the count walks the root tables and the weights the
+    # cosine tables, each one chunk at a time, where the weights took one product over all of L
+    lengths = []
+    gathered_product = egyfrac.fourier._gathered_product
+    monkeypatch.setattr(egyfrac.fourier, "_gathered_product",
+                        lambda *args: lengths.append(args[-1]) or gathered_product(*args))
+    arc_classify(divisors_above_one(360360)[:16], 1, 1.0)
+    assert len(lengths) == 6 and max(lengths) <= egyfrac.fourier._CHUNK, lengths
+    assert sum(lengths) == 2 * 360360
+
+
 def test_arc_classify_folds_the_lcm_once(monkeypatch):
     calls = []
     checked_lcm = egyfrac.fourier._checked_lcm
@@ -296,9 +304,12 @@ def test_gathered_product_shorter_than_the_largest_element(length):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (k, start, length)
 
 
-# arc_classify's tracemalloc peak, 49.2 and 49.1 bytes a frequency at L = 27720 and
-# 55440 (49.0 at 360360 and 720720), with numpy 2.4; the lcm bound keeps it near 50 MB
-_ARC_PEAK_BYTES_PER_FREQ = 50
+# arc_classify's tracemalloc peak, 33.3 and 33.1 bytes a frequency at L = 27720 and
+# 55440 (33.0 at 360360 and 720720), with numpy 2.4; the lcm bound keeps it near 36 MB
+_ARC_PEAK_BYTES_PER_FREQ = 36
+# the peak of either entry point on the 41 largest divisors of 720720, whose 2,946,340
+# table entries outweigh its frequencies: 56.7 bytes an entry, with numpy 2.4
+_PEAK_BYTES_PER_ENTRY = 60
 
 
 @pytest.mark.parametrize("N,m", [(27720, 13), (55440, 14)])
@@ -314,13 +325,28 @@ def test_arc_byte_budget_covers_the_tracemalloc_peak(N, m):
     assert peak <= _ARC_PEAK_BYTES_PER_FREQ * N, peak / N
 
 
+@pytest.mark.parametrize("call", [fourier_count, lambda A, k: arc_classify(A, k, 1.0)], ids=["count", "arc"])
+def test_fourier_peak_grows_with_the_table_entries(call):
+    # 41 elements pass the error bound and lcm 720720 the lcm bound, yet the tables hold
+    # sum(A) entries, four times L: the peak is bounded per entry plus per frequency
+    A = divisors_above_one(720720)[-41:]
+    assert math.lcm(*A) == 720720 and sum(A) == 2946340
+    tracemalloc.start()
+    try:
+        call(A, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PEAK_BYTES_PER_ENTRY * sum(A) + _ARC_PEAK_BYTES_PER_FREQ * 720720, peak / sum(A)
+
+
 @pytest.mark.parametrize("k", [1.0, 2.5, True, False, 0, -1, "1", Fraction(2)], ids=repr)
 def test_k_that_is_not_a_positive_integer_is_refused_before_any_table(k, monkeypatch):
     # a float k used to escape as IndexError or UFuncTypeError, and True was read as k = 1
     _forbid_kernel(monkeypatch)
     monkeypatch.setattr(egyfrac.fourier, "_phase_tables", None)
     monkeypatch.setattr(egyfrac.solver, "_count_sums", None)
-    for call in (fourier_count, orthogonality_sum, count_integral, lambda A, k: arc_classify(A, k, 1.0)):
+    for call in (fourier_count, count_integral, lambda A, k: arc_classify(A, k, 1.0)):
         with pytest.raises(DomainError, match="^k must be a positive integer$"):
             call([2, 3, 6], k)
 
@@ -340,7 +366,7 @@ def test_any_k_is_answered_through_k_mod_lcm():
     L = math.lcm(*A)
     for k in (1, 2, 5):
         for big in (k + L, k + 5 * L, k + 10**20 * L):
-            assert orthogonality_sum(A, big) == orthogonality_sum(A, k), (k, big)
+            assert fourier_count(A, big) == fourier_count(A, k), (k, big)
             want, got = arc_classify(A, k, 3.0), arc_classify(A, big, 3.0)
             assert got.k == big and dataclasses.replace(got, k=k) == want, (k, big)
     # a multiple of L makes every k * recip_sum(S) integral: all 2^|A| subsets count
@@ -494,20 +520,21 @@ def test_arc_runs_on_random_sets():
 
 
 def test_arc_diagnostics_hold_arrays_and_build_accessors_on_demand():
+    # the frequencies are not stored: the accessors rebuild J = (-L/2, L/2] without 0 from L
     d = arc_classify([2, 3, 6], 1, 2)
-    assert isinstance(d.hs, np.ndarray) and isinstance(d.major_mask, np.ndarray)
-    assert isinstance(d.weight_array, np.ndarray)
+    assert isinstance(d.major_mask, np.ndarray) and isinstance(d.weight_array, np.ndarray)
+    assert not hasattr(d, "hs")
     assert "major_hs" not in vars(d) and "weights" not in vars(d)
     assert d.major_hs == (-1, 1) and d.minor_hs == (-2, 2, 3)
     assert all(type(h) is int for h in d.major_hs + d.minor_hs)
-    assert d.weights == dict(zip(d.hs.tolist(), d.weight_array.tolist()))
+    assert d.weights == dict(zip([-2, -1, 1, 2, 3], d.weight_array.tolist()))
     assert d.major_hs is d.major_hs and d.weights is d.weights  # built once
-    assert "hs=" not in repr(d)
+    assert "major_mask=" not in repr(d) and "weight_array=" not in repr(d)
 
 
 def test_arc_diagnostics_arrays_are_read_only_and_compared():
     d = arc_classify([2, 3, 6], 1, 2)
-    for a in (d.hs, d.major_mask, d.weight_array):
+    for a in (d.major_mask, d.weight_array):
         with pytest.raises(ValueError):
             a[0] = a[1]
     same = arc_classify([2, 3, 6], 1, 2)

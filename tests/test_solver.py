@@ -123,8 +123,9 @@ def test_meet_refuses_only_past_the_budget_it_would_spend():
 
 
 def test_meet_refuses_sums_past_the_byte_budget_before_enumerating(monkeypatch):
-    # the larger half of 2..23 has 2^11 sums of 8 bytes each; the 16 primes' halves
-    # have 2^8 sums past 2^62, Python ints that cost more than 8 bytes each
+    # both halves of 2..23 have 2^11 sums of 8 bytes each, and the search holds six such
+    # arrays, 48 bytes a sum; the 16 primes' halves have 2^8 sums past 2^62, Python ints
+    # that cost more than 8 bytes each
     calls = []
     enumerate_sums = solver._enumerate_sums
 
@@ -134,14 +135,28 @@ def test_meet_refuses_sums_past_the_byte_budget_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(solver, "_enumerate_sums", spy)
     cfg = SolverConfig(strategy=Strategy.MEET_MIDDLE)
-    for A, budget in ((range(2, 24), (8 << 11) - 1), (FIRST_PRIMES, 8 << 8)):
+    for A, budget in ((range(2, 24), (48 << 11) - 1), (FIRST_PRIMES, 48 << 8)):
         monkeypatch.setattr(solver, "_BYTE_BUDGET", budget)
         with pytest.raises(ResourceLimitError):
             find_subset(A, recip_sum(A[:3]), cfg)
         assert calls == [], A
-    monkeypatch.setattr(solver, "_BYTE_BUDGET", 8 << 11)
+    monkeypatch.setattr(solver, "_BYTE_BUDGET", 48 << 11)
     assert find_subset(range(2, 24), 1, cfg).status == SolverStatus.FOUND
     assert calls
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_meet_byte_charge_covers_its_tracemalloc_peak(deterministic, monkeypatch):
+    # the charge used to cover one half's sums of the six half-sized arrays the search holds:
+    # 0.50 MiB against a peak of 3.00 MiB (3.68 MiB deterministic, which walks every hit)
+    charges = []
+    check_bytes = solver._check_bytes
+    monkeypatch.setattr(solver, "_check_bytes", lambda n, what: charges.append(n) or check_bytes(n, what))
+    A = divisors_above_one(720720)[:32]
+    cfg = SolverConfig(strategy=Strategy.MEET_MIDDLE, deterministic=deterministic)
+    res, peak = _traced(lambda: find_subset(A, 1, cfg))
+    assert res.status == SolverStatus.FOUND and len(charges) == 1
+    assert peak <= 2 * charges[0], peak / charges[0]
 
 
 def test_find_meet_enumerates_each_half_once(monkeypatch):
