@@ -162,7 +162,7 @@ def _experiment_sieve(args):
     if args.N < 1:
         raise DomainError(f"--N must be at least 1, got {args.N}")
     if not 1 < args.y < args.z:
-        raise DomainError("sieve experiment needs 1 < y < z")
+        raise DomainError(f"--y must lie strictly between 1 and --z {args.z}, got {args.y}")
     t = build_table(2 * args.N)
     survivors = sieve_survivors(args.N, 2 * args.N - 1, args.y, args.z, t)
     count = len(survivors)
@@ -212,9 +212,13 @@ def _experiment_pomerance(args):
         raise DomainError(f"--N must be at least 2, got {args.N}")
     if args.step is not None and args.step < 1:
         raise DomainError(f"--step must be at least 1, got {args.step}")
+    if args.budget < 1:
+        raise DomainError(f"--budget must be at least 1, got {args.budget}")
     t = build_table(args.N)
     if args.sweep_C:
         cs = [float(c) for c in args.sweep_C.split(",")]
+        if min(cs) <= 0:
+            raise DomainError(f"--sweep-C values must be positive, got {args.sweep_C}")
         rows = [["C", "largest_verified_N", "size", "recip_float", "recip_exact"]]
         for C in cs:
             best = _largest_verified_n(args.N, C, t, args.budget)
@@ -226,6 +230,8 @@ def _experiment_pomerance(args):
         name = f"pomerance_sweep_{args.N}.csv"
         params = {"N": args.N, "sweep_C": args.sweep_C, "budget": args.budget}
     else:
+        if args.C <= 0:
+            raise DomainError(f"--C must be positive, got {args.C}")
         step = args.step or args.N
         rows = [["N", "C", "size", "recip_float", "recip_exact", "verified"]]
         for N in range(step, args.N + 1, step):
@@ -240,6 +246,8 @@ def _experiment_pomerance(args):
 def _experiment_lambda(args):
     if args.max < 2:
         raise DomainError(f"--max must be at least 2, got {args.max}")
+    if args.budget < 1:
+        raise DomainError(f"--budget must be at least 1, got {args.budget}")
     rows = [["N", "value_exact", "value_float", "witness"]]
     for N in range(2, args.max + 1):
         value, witness = lambda_exact(N, node_budget=args.budget)

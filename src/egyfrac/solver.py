@@ -40,12 +40,10 @@ When every prime of t's denominator is at most sqrt(max(A)),
 ``_large_prime_pass`` makes those first tests up front, in the same order
 with the same skip rule, and the loop runs on the rest: the small primes,
 the denominator's, and any large prime whose class a later step shrinks.
-The pass decides a group of same-size classes in one numpy pass over
-their 2^k subset sums mod p (``_enumerate_sums`` on a (G, k) array) from
-``_PASS_MIN_CLASSES`` = 8 classes of at most ``_PASS_MAX_MEMBERS`` = 12
-members on, and sends smaller groups and larger classes through
-``_dead_members``; its docstring gives the timings behind both
-crossovers.
+The pass decides each class by its cofactors m: with M = lcm(m), a
+subset meets the congruence iff p divides its sum of M/m, so a class whose
+whole sum of M/m is below p has every member dead, as in a Pomerance set;
+any other class goes through ``_dead_members``.
 
 ``lambda_exact`` reduces [2, N] with target 1.  The elements U it removes
 lie in no solution, so a solution-free set stays solution-free when U is
@@ -56,13 +54,12 @@ int is set iff some chosen elements sum to 1 - 1/n, that is, iff adding n
 would complete a solution; n is included only while the bit is clear.
 
 Every DP table, a run of sets from the one reachability kernel
-``_subset_sums``, a count array of its counting twin ``_count_sums``, a
-block of the large-prime pass or the six half-sized arrays of a
-``meet_middle`` search, is checked against ``_BYTE_BUDGET`` before it is
-allocated.  ``_count_sums``
-meets in the middle up to ``_EXHAUSTIVE_BOUND`` weights and runs its DP
-past them; ``_meet`` is the one meet in the middle of that count and of
-the ``meet_middle`` search.  Each caller enumerates each half's sums once
+``_subset_sums``, a count array of its counting twin ``_count_sums`` or the
+six half-sized arrays of a ``meet_middle`` search, is checked against
+``_BYTE_BUDGET`` before it is allocated.  ``_count_sums`` meets in the
+middle up to ``_EXHAUSTIVE_BOUND`` weights and runs its DP past them;
+``_meet`` is the one meet in the middle of that count and of the
+``meet_middle`` search.  Each caller enumerates each half's sums once
 and hands both to ``_meet``, which sorts the left sums in place; the search
 takes a stable argsort of them first and reads the left subsets that
 complete a right subset from it, in ascending index within a sum.
@@ -89,11 +86,6 @@ _EXHAUSTIVE_BOUND = 24
 # the bytes a DP table may hold: past them the residue DP, meet_middle and the counters raise,
 # auto runs dfs_bnb, reduce_to_core skips a prime and lambda_exact refuses N
 _BYTE_BUDGET = 1 << 25
-# reduce_to_core decides a group of same-size large-prime classes in one numpy pass from
-# this many classes on, of at most this many members each (see _large_prime_pass)
-_PASS_MIN_CLASSES = 8
-_PASS_MAX_MEMBERS = 12
-_PASS_BLOCK_BYTES = 1 << 20
 
 
 class Strategy(str, Enum):
@@ -272,25 +264,17 @@ def _alternating_split(items: Sequence[int]) -> tuple[list[int], list[int]]:
     return list(items[0::2]), list(items[1::2])
 
 
-def _enumerate_sums(weights: Sequence[int] | np.ndarray, top: int = 0) -> np.ndarray:
-    """All 2^k subset sums of k weights.
-
-    ``weights`` is a sequence of k ints, enumerated as int64 when their
-    total and ``top``, a bound the caller puts on what it computes from the
-    sums, are below 2^62, and as Python ints past it; or a (G, k) int64
-    array whose rows' totals are below 2^62, enumerated row by row into a
-    (G, 2^k) array.  Entry j is the sum over the subset {weights[t] : bit t
-    of j is set}: each weight doubles the array, its new half the old one
-    plus the weight.
+def _enumerate_sums(weights: Sequence[int], top: int = 0) -> np.ndarray:
+    """All 2^k subset sums of k weights, as int64 when their total and
+    ``top``, a bound the caller puts on what it computes from the sums, are
+    below 2^62, and as Python ints past it.  Entry j is the sum over the
+    subset {weights[t] : bit t of j is set}: each weight doubles the array,
+    its new half the old one plus the weight.
     """
-    if isinstance(weights, np.ndarray):
-        rows, columns, dtype = weights.shape[:-1], weights.T[..., None], np.int64
-    else:
-        rows, columns = (), weights
-        dtype = np.int64 if max(sum(weights), top) < 1 << 62 else object
-    out = np.zeros(rows + (1 << len(columns),), dtype=dtype)
-    for t, w in enumerate(columns):
-        np.add(out[..., : 1 << t], w, out=out[..., 1 << t : 2 << t])
+    dtype = np.int64 if max(sum(weights), top) < 1 << 62 else object
+    out = np.zeros(1 << len(weights), dtype=dtype)
+    for t, w in enumerate(weights):
+        np.add(out[: 1 << t], w, out=out[1 << t : 2 << t])
     return out
 
 
@@ -354,10 +338,9 @@ def _check_bytes(nbytes: int, what: str) -> None:
         raise ResourceLimitError(f"{what} would hold {nbytes} bytes, past the budget of {_BYTE_BUDGET}")
 
 
-def _sets_bytes(weights: Sequence[int], width, cyclic: bool = False):
+def _sets_bytes(weights: Sequence[int], width: int, cyclic: bool = False) -> int:
     """Bytes of the sets of ``_subset_sums``: each holds at most ``width``
-    bits, and a linear one at most the sum of its prefix plus one.  A cyclic
-    count takes an array of widths too, and gives an array."""
+    bits, and a linear one at most the sum of its prefix plus one."""
     bits = (len(weights) + 1) * width if cyclic else sum(min(width, s + 1) for s in accumulate(weights, initial=0))
     return -(-bits // 8)
 
@@ -484,88 +467,36 @@ def _dead_members(p: int, v: int, r: int, cls: dict[int, int]) -> Optional[list[
     return dead
 
 
-def _zero_sum_members(m: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """For a (G, k) array of cofactors m, row i of which is the class of the
-    prime P[i] < 2^31, a bit per member: bit j of entry i is set iff some
-    nonempty subset of row i holding member j has its reciprocals sum to 0
-    mod P[i].
-
-    The weights are c/m_j for the unit c = prod m_j, a prefix times a suffix
-    product mod P[i]: below 2^62 each, with no inverse taken.
-    """
-    G, k = m.shape
-    W = np.empty_like(m)
-    acc = np.ones(G, dtype=np.int64)
-    for j in range(k):
-        W[:, j] = acc
-        acc = acc * m[:, j] % P
-    acc[:] = 1
-    for j in range(k - 1, -1, -1):
-        W[:, j] = W[:, j] * acc % P
-        acc = acc * m[:, j] % P
-    sums = _enumerate_sums(W)
-    sums %= P[:, None]
-    # each zero sum contributes its subset's bits
-    np.multiply(sums == 0, np.arange(1 << k), out=sums)
-    return np.bitwise_or.reduce(sums, axis=1)
-
-
 def _large_prime_pass(
     elems: Sequence[int], factors: dict[int, Factorization], root: int
 ) -> dict[int, Optional[tuple[int, ...]]]:
     """The first test of each large prime p > root = isqrt(max(elems)) on
     its class, the members p*m with m < p (see the module docstring): the
     dead members, ascending, or None when the test is skipped because its
-    sets would pass the byte budget.  ``elems`` is ascending, below 2^31.
+    sets would pass the byte budget.  ``elems`` is ascending.
 
-    Same-size classes go through ``_zero_sum_members`` together, in blocks
-    of rows whose sums and zero marks, 9 bytes a subset, fit within
-    ``_PASS_BLOCK_BYTES`` and ``_BYTE_BUDGET``; the rest through
-    ``_dead_members``.  The crossovers, measured on a 2-vCPU Xeon (best of
-    15, random classes with p from 20 up): a numpy group of 1 to 6 members
-    took 17 to 55 us at 4 to 8 classes, where ``_dead_members`` took 2.5
-    to 8 us a class for p up to 1000, and 13 to 94 us past 10^5.  So near
-    p = 1000 the two were even at 6 to 8 classes (8 classes of 4 members:
-    36 to 39 against 40 to 48 us), and past 10^5 numpy was faster from 4
-    classes on.  A numpy row costs its 2^k sums: for 32 classes near
-    p = 1000 it was faster at 9 members (191 against 436 us) and slower at
-    12 and 13 (941 against 562, 1617 against 600), though past 10^5 it was
-    faster up to 14 (3312 against 8564).  Sending every group through
-    numpy made ``experiment lambda --max 22``, whose classes come a few of
-    a size, about 2 ms slower (5 to 6 against 3.0 to 3.5 ms); with the
-    cutoff at 8 classes it stays level.  Blocks of 1 MiB, not 32, held the
-    verification of the Pomerance set at N = 10^6 to a max RSS of 152 MB,
-    not 174, at 0.67 against 0.68 to 0.71 s.
+    With M the lcm of the cofactors m, a subset's sum of 1/m is its sum of
+    M/m over M, and M is prime to p, so the subset meets p's congruence iff
+    p divides its sum of M/m.  When the whole class sums below p, no
+    nonempty subset does and every member is dead; otherwise
+    ``_dead_members`` decides.
     """
     large: defaultdict[int, list[int]] = defaultdict(list)
     for n in elems:
         f = factors[n]
         if f and f[-1][0] > root:
             large[f[-1][0]].append(n)
-    by_size: defaultdict[int, list[int]] = defaultdict(list)
-    for p, cls in large.items():
-        by_size[len(cls)].append(p)
     out: dict[int, Optional[tuple[int, ...]]] = {}
-    for k, ps in by_size.items():
-        rows = min(_PASS_BLOCK_BYTES, _BYTE_BUDGET) // (9 << k)
-        if len(ps) < _PASS_MIN_CLASSES or k > _PASS_MAX_MEMBERS or rows == 0:
-            for p in ps:
-                try:
-                    out[p] = tuple(sorted(_dead_members(p, 1, 0, dict.fromkeys(large[p], 1))))
-                except ResourceLimitError:
-                    out[p] = None
+    for p, cls in large.items():
+        if _sets_bytes(cls, p, cyclic=True) > _BYTE_BUDGET:
+            out[p] = None
             continue
-        P = np.array(ps, dtype=np.int64)
-        skip = _sets_bytes(range(k), P, cyclic=True) > _BYTE_BUDGET
-        out.update(dict.fromkeys(P[skip].tolist()))
-        ps = P[~skip].tolist()
-        for i in range(0, len(ps), rows):
-            block = ps[i : i + rows]
-            P = np.array(block, dtype=np.int64)
-            bits = _zero_sum_members(np.array([large[p] for p in block], dtype=np.int64) // P[:, None], P)
-            for p, b in zip(block, bits.tolist()):
-                cls = large[p]
-                out[p] = tuple(n for j, n in enumerate(cls) if not b >> j & 1) if b else tuple(cls)
+        cofactors = [n // p for n in cls]
+        M = math.lcm(*cofactors)
+        if sum(M // m for m in cofactors) < p:
+            out[p] = tuple(cls)
+        else:
+            out[p] = tuple(sorted(_dead_members(p, 1, 0, dict.fromkeys(cls, 1))))
     return out
 
 
@@ -577,8 +508,8 @@ def _reduce(elems: list[int], target: Fraction, factors: dict[int, Factorization
     skipped = set()
     alive = set(elems)
     tested: dict[int, Optional[tuple[int, ...]]] = {}
-    # below 2^31, a product of two residues mod a large prime fits int64
-    if 0 < top < 1 << 31 and all(p * p <= top for p in den_exp):
+    # P*t is 0 mod a large prime p unless p divides t's denominator
+    if all(p * p <= top for p in den_exp):
         tested = _large_prime_pass(elems, factors, math.isqrt(top))
         for p in sorted(tested, reverse=True):
             dead = tested[p]
@@ -700,12 +631,12 @@ def find_subset(A: SetLike, target, cfg: SolverConfig = SolverConfig()) -> Solve
         # a denominator that does not divide lcm(A) is ruled out before anything is factored
         den = target.denominator
         if den > 1 and math.lcm(*(math.gcd(den, n) for n in elems)) != den:
-            return SolverResult(SolverStatus.EXHAUSTED_NONE, None, 0)
+            return _result(None, 0, cfg.node_budget)
         factors = factorize_all(elems)
         elems = list(_reduce(elems, target, factors).core.elements)
     scaled = _scaled(elems, target)
     if scaled is None:
-        return SolverResult(SolverStatus.EXHAUSTED_NONE, None, 0)
+        return _result(None, 0, cfg.node_budget)
     L, weights, T = scaled
     if strategy == Strategy.AUTO:
         strategy = _pick_strategy(weights, T)

@@ -417,6 +417,12 @@ def test_solve_reproducible_json(set_file, tmp_path):
         (["experiment", "mertens", "--X", "-5", "--out-dir", "{tmp}"], "--X"),
         (["experiment", "mertens", "--X", "1", "--out-dir", "{tmp}"], "--X"),
         (["experiment", "sieve", "--N", "0", "--out-dir", "{tmp}"], "--N"),
+        (["experiment", "sieve", "--N", "100", "--y", "5", "--z", "3", "--out-dir", "{tmp}"], "--y"),
+        (["experiment", "sieve", "--N", "100", "--y", "1", "--out-dir", "{tmp}"], "--y"),
+        (["experiment", "pomerance", "--N", "30", "--C", "0", "--out-dir", "{tmp}"], "--C"),
+        (["experiment", "pomerance", "--N", "30", "--sweep-C", "0,1", "--out-dir", "{tmp}"], "--sweep-C"),
+        (["experiment", "pomerance", "--N", "30", "--budget", "0", "--out-dir", "{tmp}"], "--budget"),
+        (["experiment", "lambda", "--max", "5", "--budget", "0", "--out-dir", "{tmp}"], "--budget"),
     ],
     ids=["missing-target", "bad-strategy", "bad-threads", "zero-budget", "out-in-missing-dir", "out-dir-is-file",
          "decompose-table-bound", "prune-demo-y-zero", "prune-demo-y-negative", "sieve-z-inf",
@@ -424,7 +430,8 @@ def test_solve_reproducible_json(set_file, tmp_path):
          "prune-demo-omega-lo-nan", "prune-demo-omega-hi-nan", "prune-demo-smooth-bound-nan", "pomerance-C-nan",
          "pomerance-sweep-C-nan", "fourier-threads-zero", "prune-demo-threads-negative", "fourier-arc-width-nan",
          "fourier-arc-width-inf", "prune-demo-theta-negative", "prune-demo-lo-zero", "prune-demo-hi-below-lo",
-         "mertens-X-negative", "mertens-X-one", "sieve-N-zero"],
+         "mertens-X-negative", "mertens-X-one", "sieve-N-zero", "sieve-y-above-z", "sieve-y-one", "pomerance-C-zero",
+         "pomerance-sweep-C-zero", "pomerance-budget-zero", "lambda-budget-zero"],
 )
 def test_usage_errors_exit_64(argv, named, set_file, tmp_path, capsys):
     # argparse must not exit 2, the budget code, and none of these may end in a traceback;

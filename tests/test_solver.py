@@ -729,29 +729,19 @@ _REDUCE_TARGETS = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(5, 6), 
 
 
 @pytest.mark.parametrize("N", [30, 250, 750, 1250, 2750])
-def test_reduce_to_core_matches_reference_on_pomerance_sets(N, monkeypatch):
+def test_reduce_to_core_matches_reference_on_pomerance_sets(N):
     members = pomerance_set(N, 1, build_table(N)).members
     for target in _REDUCE_TARGETS:
-        expected = reference_reduce(members, target)
-        assert _reduction(members, target) == expected, target
-        # blocks of a few rows, and none past 4 members: the numpy pass in pieces and _dead_members
-        with monkeypatch.context() as m:
-            m.setattr(solver, "_PASS_BLOCK_BYTES", 200)
-            assert _reduction(members, target) == expected, target
+        assert _reduction(members, target) == reference_reduce(members, target), target
 
 
-# from 1 class on, every large-prime class goes through the numpy pass, survivors included
-@pytest.mark.parametrize("min_classes", [solver._PASS_MIN_CLASSES, 1])
-def test_reduce_to_core_matches_reference_on_ranges(min_classes, monkeypatch):
-    monkeypatch.setattr(solver, "_PASS_MIN_CLASSES", min_classes)
+def test_reduce_to_core_matches_reference_on_ranges():
     for N in range(1, 201):
         assert _reduction(range(2, N + 1), 1) == reference_reduce(range(2, N + 1), 1), N
 
 
-@pytest.mark.parametrize("min_classes", [solver._PASS_MIN_CLASSES, 1])
-def test_reduce_to_core_matches_reference_on_random_sets(min_classes, monkeypatch):
+def test_reduce_to_core_matches_reference_on_random_sets():
     # a large prime tests its class again when a small prime's step shrank it
-    monkeypatch.setattr(solver, "_PASS_MIN_CLASSES", min_classes)
     rng, targets = random.Random(1), random.Random(2)
     again = 0
     for _ in range(400):
@@ -765,48 +755,46 @@ def test_reduce_to_core_matches_reference_on_random_sets(min_classes, monkeypatc
     assert again > 10, again
 
 
-# the eight largest primes below 2^31, the bound under which the pass runs
-_PRIMES_BELOW_2_31 = [2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543, 2147483497]
-
-
-def test_zero_sum_members_matches_subset_enumeration_near_2_31():
-    # products of residues near 2^31 overflow int64 unless each step reduces mod p
-    rng = random.Random(7)
-    rows, expected = [], []
-    for p in _PRIMES_BELOW_2_31:
-        m = [rng.randrange(1, p) for _ in range(4)]
-        # a fifth member that closes a random subset of the first four to 0 mod p
-        chosen = rng.sample(m, rng.randint(1, 4))
-        m.append(pow(-sum(pow(x, -1, p) for x in chosen) % p, -1, p))
-        m.append(rng.randrange(1, p))
-        rows.append(m)
-        bits = 0
-        for size in range(1, len(m) + 1):
-            for S in combinations(range(len(m)), size):
-                if sum(pow(m[j], -1, p) for j in S) % p == 0:
-                    bits |= sum(1 << j for j in S)
-        expected.append(bits)
-    got = solver._zero_sum_members(np.array(rows, dtype=np.int64), np.array(_PRIMES_BELOW_2_31, dtype=np.int64))
-    assert got.tolist() == expected
-    assert all(b & 1 << 4 for b in expected)
-
-
 def test_reduce_to_core_numpy_pass_keeps_the_skip_rule(monkeypatch):
-    # the numpy pass skips exactly the classes _dead_members would skip
+    # the large-prime pass skips exactly the classes the loop's _dead_members would skip
     members = pomerance_set(2750, 1, build_table(2750)).members
     skipped = 0
     for budget in (40, 300, 3000):
         monkeypatch.setattr(solver, "_BYTE_BUDGET", budget)
         with monkeypatch.context() as m:
-            m.setattr(solver, "_PASS_MIN_CLASSES", len(members) + 1)
+            m.setattr(solver, "_large_prime_pass", lambda *args: {})
             expected = _reduction(members, 1)
         assert _reduction(members, 1) == expected, budget
         skipped += len(expected[2])
     assert skipped > 0
 
 
+def test_reduce_to_core_decides_a_large_prime_class_by_its_cofactor_sum(monkeypatch):
+    calls = []
+    dead_members = solver._dead_members
+
+    def counted(p, *args):
+        calls.append(p)
+        return dead_members(p, *args)
+
+    monkeypatch.setattr(solver, "_dead_members", counted)
+    # cofactors 1, 2 with lcm 2: the sum 2/1 + 2/2 = 3 is below 11, so both go with no DP
+    assert _reduction([11, 22], 1) == reference_reduce([11, 22], 1) == ((), ((11, (11, 22)),), ())
+    assert calls == []
+    # cofactors 1, 2, 4: the sum 4 + 2 + 1 = 7 is not below 7, and 1/7 + 1/14 + 1/28 = 1/4 keeps the class;
+    # cofactors 1, 2, 3: the sum 6 + 3 + 2 = 11 is not below 7, but no subset sum
+    # (6, 3, 2, 9, 8, 5, 11) is a multiple of 7, so the DP removes the whole class
+    for A, steps in (([7, 14, 28], ((2, (14, 28)), (7, (7,)))), ([7, 14, 21], ((7, (7, 14, 21)),))):
+        calls.clear()
+        assert _reduction(A, 1) == reference_reduce(A, 1) == ((), steps, ()), A
+        assert calls[0] == 7, calls
+    # a class past the byte budget is skipped before its cofactor sum 3 is compared
+    p = 2147483659
+    assert _reduction([p, 2 * p], 1) == ((p,), ((2, (2 * p,)),), (p,))
+
+
 def test_reduce_to_core_sends_no_large_prime_to_the_loop_dp(monkeypatch):
-    # every large-prime class of this set comes in a group of 8 or more of its size
+    # every large-prime class of this set has its cofactor sum below its prime
     calls = []
     dead_members = solver._dead_members
 
