@@ -219,7 +219,7 @@ def _coprime_add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
 
 
 # recip_sum splits sets of at least _SPLIT_MIN elements whose max is at most _SPLIT_SPAN
-# times their count, and at most _SPLIT_TOP, which keeps the split's int32 table within 64 MB
+# times their count, and at most _SPLIT_TOP, which keeps the split's uint16 table within 32 MB
 _SPLIT_MIN = 2048
 _SPLIT_SPAN = 32
 _SPLIT_TOP = 1 << 24

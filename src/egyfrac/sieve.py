@@ -1,14 +1,23 @@
-"""Smallest-prime-factor sieve and the factorization queries built on it."""
+"""Smallest-prime-factor sieve and the factorization queries built on it.
+
+The table holds, for each n up to its bound, the smallest prime factor of n
+when n is composite and 0 when n is prime (and at the placeholders 0 and 1),
+as uint16: a composite n <= N has its smallest prime at most isqrt(N), below
+2^16 for every bound ``_MAX_ENTRIES`` allows, so an entry takes 2 bytes.
+Every reader reads a 0 as n itself.
+"""
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError, RangeError, ResourceLimitError
 
-# Ceiling on table size: int32 entries, roughly 256 MB.
+# Ceiling on table size: uint16 entries, roughly 128 MB.
 _MAX_ENTRIES = 64_000_000
 
 Factorization = list[tuple[int, int]]
@@ -18,7 +27,9 @@ class FactorTable:
     """Smallest-prime-factor table covering 2..bound.
 
     spf(n) is prime and divides n; spf(p) == p exactly when p is prime.
-    Immutable after construction; all queries are pure.
+    Stored as uint16, 2 bytes an entry: the smallest prime of each
+    composite, 0 at the primes and at 0 and 1.  Immutable after
+    construction; all queries are pure.
     """
 
     __slots__ = ("bound", "_spf", "_primes")
@@ -35,16 +46,15 @@ class FactorTable:
         return f"FactorTable(bound={self.bound})"
 
     def spf(self, n: int) -> int:
-        self._check(n)
-        return self._spf.data[n]
+        n = self._check(n)
+        return self._spf.data[n] or n
 
     @property
     def primes(self) -> np.ndarray:
         """All primes <= bound, ascending (computed once, then cached)."""
         if self._primes is None:
-            # spf(0) == 0 and spf(1) == 0 are placeholders, not fixed points
-            idx = np.arange(2, self.bound + 1, dtype=self._spf.dtype)
-            object.__setattr__(self, "_primes", np.flatnonzero(self._spf[2:] == idx) + 2)
+            # the 0 entries from 2 on; those at 0 and 1 are placeholders
+            object.__setattr__(self, "_primes", np.flatnonzero(self._spf[2:] == 0) + 2)
         return self._primes
 
     def peel(self, values: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -54,8 +64,10 @@ class FactorTable:
         """
         live = np.flatnonzero(values > 1)
         while live.size:
-            p = self._spf[values[live]]
-            values[live] //= p
+            v = values[live]
+            p = self._spf[v]
+            p = np.where(p, p, v)  # a 0 entry: v is prime
+            values[live] = v // p
             yield live, p
             live = live[values[live] > 1]
 
@@ -76,15 +88,27 @@ class FactorTable:
         j = np.searchsorted(ps, hi, side="right")
         return ps[i:j].tolist()
 
-    def _check(self, n: int) -> None:
+    def _check(self, n: int) -> int:
+        """n as an int, once it is an integer in 2..bound."""
+        n = _as_int(n, "n")
         if n < 2:
             raise DomainError(f"n must be >= 2, got {n}")
         if n > self.bound:
             raise RangeError(f"n={n} exceeds table bound {self.bound}")
+        return n
+
+
+def _as_int(n, name: str) -> int:
+    """n as an int; DomainError unless it is an integer.  Booleans are refused,
+    as ``rational.positive_k`` refuses them; numpy integers are accepted."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    return operator.index(n)
 
 
 def build_table(N: int) -> FactorTable:
     """Sieve smallest prime factors for 2..N."""
+    N = _as_int(N, "table bound")
     if N < 2:
         raise DomainError(f"table bound must be >= 2, got {N}")
     if N + 1 > _MAX_ENTRIES:
@@ -93,10 +117,9 @@ def build_table(N: int) -> FactorTable:
 
 
 def _sieve(N: int) -> np.ndarray:
-    """Smallest prime factors of 0..N, for N >= 2 (0 at 0 and 1)."""
-    # every entry starts as itself, so the primes, which nothing marks, are fixed points
-    spf = np.arange(N + 1, dtype=np.int32)
-    spf[:2] = 0
+    """Smallest prime factors of the composites in 0..N, for N >= 2 (0 elsewhere)."""
+    # every entry starts at 0, and the primes, which nothing marks, keep it
+    spf = np.zeros(N + 1, dtype=np.uint16)
     # a composite n <= N has its smallest prime p at most sqrt(N), with p*p <= n: each
     # such prime marks its multiples from p*p on, the largest first, so the smallest
     # prime dividing n writes last; an odd prime marks only its odd multiples, and 2
@@ -110,11 +133,11 @@ def _sieve(N: int) -> np.ndarray:
 
 def factorize(n: int, t: FactorTable) -> Factorization:
     """Complete prime factorization as (prime, exponent) pairs, primes ascending."""
-    t._check(n)
+    n = t._check(n)
     spf = t._spf.data  # a memoryview: indexing gives Python ints, not numpy scalars
     out: Factorization = []
     while n > 1:
-        p = spf[n]
+        p = spf[n] or n
         r = 0
         while n % p == 0:
             n //= p
@@ -138,7 +161,7 @@ def _prime_powers_each(elems: Sequence[int], t: FactorTable) -> list[list[int]]:
     for n in elems:
         qs = []
         while n > 1:
-            p = q = spf[n]
+            p = q = spf[n] or n
             n //= p
             while n % p == 0:
                 n //= p
@@ -168,10 +191,11 @@ def factorize_all(elems: Sequence[int]) -> dict[int, Factorization]:
     top = max(elems, default=1)
     if len(elems) < 256 or not top <= min(8 * len(elems), _MAX_ENTRIES - 1):
         return {n: _trial_factorize(n) for n in elems}
-    rows, primes = map(np.concatenate, zip(*build_table(top).peel(np.array(elems, dtype=np.int64))))
-    # one key per (element, prime) pair; its count is the prime's exponent
+    # one key per (element, prime) pair, made a round at a time so no round's rows and
+    # primes outlive it; a key's count is the prime's exponent
     base = top + 1
-    keys, counts = np.unique(rows * base + primes, return_counts=True)
+    rounds = build_table(top).peel(np.array(elems, dtype=np.int64))
+    keys, counts = np.unique(np.concatenate([rows * base + p for rows, p in rounds]), return_counts=True)
     out: dict[int, Factorization] = {n: [] for n in elems}
     for key, a in zip(keys.tolist(), counts.tolist()):
         out[elems[key // base]].append((key % base, a))

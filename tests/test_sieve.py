@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,8 +132,10 @@ def test_build_table_matches_trial_division():
     spf = [0, 0] + [trial_factorize(n)[0][0] for n in range(2, top + 1)]
     for N in _SIEVE_BOUNDS:
         t = build_table(N)
-        assert t._spf.dtype == np.int32 and t._spf.data.format == "i"
-        assert t._spf.tolist() == spf[: N + 1], N
+        # uint16 smallest primes of the composites, 0 at the primes and at 0 and 1
+        assert t._spf.dtype == np.uint16 and t._spf.data.format == "H"
+        assert t._spf.tolist() == [0 if s == n else s for n, s in enumerate(spf[: N + 1])], N
+        assert [t.spf(n) for n in range(2, N + 1)] == spf[2 : N + 1], N
         assert t.primes.tolist() == [n for n in range(2, N + 1) if spf[n] == n], N
     for N in _SIEVE_BOUNDS[-12:]:
         # peel divides out one smallest prime factor a round, so each element sees its primes ascending
@@ -146,3 +149,44 @@ def test_build_table_matches_trial_division():
 def test_spf_queries_return_python_ints(small_table):
     assert type(small_table.spf(9999)) is int and small_table.spf(9999) == 3
     assert all(type(p) is int for n in range(2, 50) for p, _ in factorize(n, small_table))
+
+
+def test_non_integers_raise_domain_error(small_table):
+    # refused before the table is allocated or indexed, booleans included
+    for N in (1e6, 2.5, "10", None, True):
+        with pytest.raises(DomainError):
+            build_table(N)
+    for fn in (factorize, omega, lambda n, t: t.spf(n)):
+        for n in (6.0, 2.5, "6", True, False):
+            with pytest.raises(DomainError):
+                fn(n, small_table)
+    # numpy integers are integers, and the queries still answer in Python ints
+    t = build_table(np.int64(30))
+    assert t.bound == 30 and type(t.bound) is int
+    assert small_table.spf(np.int64(9)) == 3 and type(small_table.spf(np.int64(9))) is int
+    assert small_table.spf(np.uint16(97)) == 97 and type(small_table.spf(np.uint16(97))) is int
+    assert factorize(np.int32(360), small_table) == [(2, 3), (3, 2), (5, 1)]
+    assert all(type(x) is int for pair in factorize(np.int64(360), small_table) for x in pair)
+    assert omega(np.int64(30), small_table) == 3
+
+
+def test_every_allowed_bound_fits_uint16_entries():
+    # a composite n <= N has its smallest prime at most isqrt(N)
+    assert math.isqrt(egyfrac.sieve._MAX_ENTRIES) < 2**16
+
+
+@pytest.mark.parametrize("N", [720_720, 2_000_000])
+def test_table_and_primes_take_under_two_bytes_an_entry(N):
+    tracemalloc.start()
+    try:
+        t = build_table(N)
+        held, built_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        t.primes
+        _, primes_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 2 * (N + 1) + 4096, held / N
+    assert built_peak <= 2 * (N + 1) + 65536, built_peak / N
+    # a bool mask and the int64 primes: about 1.6 bytes an entry at these bounds
+    assert primes_peak - held < 2 * N, (primes_peak - held) / N
