@@ -1,12 +1,15 @@
 """Batch command-line surface for reproducible experiments.
 
 Subcommands: solve, fourier, decompose, and experiment (mertens, sieve,
-pomerance, lambda, prune-demo).  Set files are newline-delimited decimal
-integers or a JSON array.  All JSON output is UTF-8 with sorted keys and
-CSV output is RFC 4180, so identical runs produce byte-identical
-artifacts.  The environment variable EGYFRAC_OUT_DIR overrides the
-output root for experiment artifacts.  Every command runs on one thread;
-fourier still accepts --threads T, a positive integer, and ignores it.
+pomerance, lambda, prune-demo).  Each experiment takes --out-dir and only
+the options it reads; the parser checks every bound on one option, and an
+experiment checks the bounds that compare two.  Set files are
+newline-delimited decimal integers or a JSON array.  All JSON output is
+UTF-8 with sorted keys and CSV output is RFC 4180, so identical runs
+produce byte-identical artifacts.  The environment variable
+EGYFRAC_OUT_DIR overrides the output root for experiment artifacts.
+Every command runs on one thread; fourier still accepts --threads T, a
+positive integer, and ignores it.
 
 Exit codes: 0 success / witness found, 1 exhausted with no witness,
 2 node budget exceeded, 3 resource limits or a refused float count,
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -143,8 +147,6 @@ def cmd_decompose(args) -> int:
 
 
 def _experiment_mertens(args):
-    if args.X < 2:
-        raise DomainError(f"--X must be at least 2, got {args.X}")
     t = build_table(args.X)
     value = mertens_q_sum(args.X, t)
     lnln = math.log(math.log(args.X)) if args.X >= 3 else None
@@ -159,8 +161,6 @@ def _experiment_mertens(args):
 
 
 def _experiment_sieve(args):
-    if args.N < 1:
-        raise DomainError(f"--N must be at least 1, got {args.N}")
     if not 1 < args.y < args.z:
         raise DomainError(f"--y must lie strictly between 1 and --z {args.z}, got {args.y}")
     t = build_table(2 * args.N)
@@ -208,17 +208,11 @@ def _largest_verified_n(N_max: int, C: float, t, budget: int) -> int:
 
 
 def _experiment_pomerance(args):
-    if args.N < 2:
-        raise DomainError(f"--N must be at least 2, got {args.N}")
-    if args.step is not None and args.step < 1:
-        raise DomainError(f"--step must be at least 1, got {args.step}")
-    if args.budget < 1:
-        raise DomainError(f"--budget must be at least 1, got {args.budget}")
+    if args.sweep_C and (args.C is not None or args.step is not None):
+        raise DomainError("--sweep-C takes neither --C nor --step")
     t = build_table(args.N)
     if args.sweep_C:
         cs = [float(c) for c in args.sweep_C.split(",")]
-        if min(cs) <= 0:
-            raise DomainError(f"--sweep-C values must be positive, got {args.sweep_C}")
         rows = [["C", "largest_verified_N", "size", "recip_float", "recip_exact"]]
         for C in cs:
             best = _largest_verified_n(args.N, C, t, args.budget)
@@ -230,24 +224,19 @@ def _experiment_pomerance(args):
         name = f"pomerance_sweep_{args.N}.csv"
         params = {"N": args.N, "sweep_C": args.sweep_C, "budget": args.budget}
     else:
-        if args.C <= 0:
-            raise DomainError(f"--C must be positive, got {args.C}")
+        C = 1.0 if args.C is None else args.C
         step = args.step or args.N
         rows = [["N", "C", "size", "recip_float", "recip_exact", "verified"]]
         for N in range(step, args.N + 1, step):
-            rep = pomerance_set(N, args.C, t)
+            rep = pomerance_set(N, C, t)
             free = verify_solution_free(rep.members, args.budget)
-            rows.append([N, args.C, len(rep.members), float(rep.recip), format_rational(rep.recip), free])
-        name = f"pomerance_{args.N}_{args.C}.csv"
-        params = {"N": args.N, "C": args.C, "step": step, "budget": args.budget}
+            rows.append([N, C, len(rep.members), float(rep.recip), format_rational(rep.recip), free])
+        name = f"pomerance_{args.N}_{C}.csv"
+        params = {"N": args.N, "C": C, "step": step, "budget": args.budget}
     return name, _csv_text(rows), params, repr(sorted(params.items()))
 
 
 def _experiment_lambda(args):
-    if args.max < 2:
-        raise DomainError(f"--max must be at least 2, got {args.max}")
-    if args.budget < 1:
-        raise DomainError(f"--budget must be at least 1, got {args.budget}")
     rows = [["N", "value_exact", "value_float", "witness"]]
     for N in range(2, args.max + 1):
         value, witness = lambda_exact(N, node_budget=args.budget)
@@ -263,18 +252,12 @@ def _experiment_prune_demo(args):
     refuse is recorded as skipped.  The stages stop at the first d whose
     pool is empty.
     """
-    if args.lo < 1:
-        raise DomainError(f"--lo must be at least 1, got {args.lo}")
     if args.hi < args.lo:
         raise DomainError(f"--hi must be at least --lo {args.lo}, got {args.hi}")
-    if args.y <= 0:
-        raise DomainError(f"--y must be positive, got {args.y}")
-    # a missing omega bound leaves that side open
-    omega_bounded = args.omega_lo is not None or args.omega_hi is not None
-    omega_lo = -math.inf if args.omega_lo is None else args.omega_lo
-    omega_hi = math.inf if args.omega_hi is None else args.omega_hi
-    if omega_lo > omega_hi:
-        raise DomainError(f"--omega-lo {omega_lo} exceeds --omega-hi {omega_hi}")
+    # a missing omega bound is infinite, which leaves that side open
+    omega_bounded = math.isfinite(args.omega_lo) or math.isfinite(args.omega_hi)
+    if args.omega_lo > args.omega_hi:
+        raise DomainError(f"--omega-lo {args.omega_lo} exceeds --omega-hi {args.omega_hi}")
     theta = parse_rational(args.theta)
     if theta < 0:
         raise DomainError(f"--theta must be >= 0, got {args.theta}")
@@ -285,7 +268,7 @@ def _experiment_prune_demo(args):
             continue
         if args.smooth_bound is not None and not passes_smoothness(n, args.smooth_bound, t):
             continue
-        if omega_bounded and not omega_in_range(n, omega_lo, omega_hi, t):
+        if omega_bounded and not omega_in_range(n, args.omega_lo, args.omega_hi, t):
             continue
         pool.append(n)
     stages = []
@@ -330,15 +313,6 @@ def _experiment_prune_demo(args):
             f"{args.lo},{args.hi},{args.y},{args.z},{args.theta}")
 
 
-_EXPERIMENTS = {
-    "mertens": _experiment_mertens,
-    "sieve": _experiment_sieve,
-    "pomerance": _experiment_pomerance,
-    "lambda": _experiment_lambda,
-    "prune-demo": _experiment_prune_demo,
-}
-
-
 def cmd_experiment(args) -> int:
     root = Path(os.environ.get("EGYFRAC_OUT_DIR") or args.out_dir)
     root.mkdir(parents=True, exist_ok=True)
@@ -359,33 +333,69 @@ def cmd_experiment(args) -> int:
 # argument parsing
 
 
+def _int_from(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type of an unparsable value
+    return parse
+
+
 def _finite_float(text: str) -> float:
-    # --y and --z reach ceil, floor and log, which infinities and NaN break;
-    # C, the arc width and the smoothness and omega bounds are compared, and
-    # every comparison with NaN is false, so a NaN would silently empty the
-    # set or the pool; the arc width is also written to JSON, which has no inf
+    # NaN and the infinities break ceil, floor and log, make every comparison
+    # with a bound false, and are not JSON
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value
 
 
-def _positive_int(text: str) -> int:
-    # fourier --threads does nothing, but older command lines pass it, and it
-    # is still refused below 1
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
     return value
 
 
-def _finite_float_list(text: str) -> str:
+def _positive_float_list(text: str) -> str:
     # checked entry by entry, but kept as given: the manifest records the text
     for entry in text.split(","):
-        _finite_float(entry)
+        _positive_float(entry)
     return text
 
 
+_EXPERIMENTS = {
+    "mertens": _experiment_mertens,
+    "sieve": _experiment_sieve,
+    "pomerance": _experiment_pomerance,
+    "lambda": _experiment_lambda,
+    "prune-demo": _experiment_prune_demo,
+}
+
+# The options each experiment reads, as (flag, type, default[, help]); each
+# experiment also takes --out-dir, and no other option.
+_BUDGET = ("--budget", _int_from(1), 10_000_000)
+_EXPERIMENT_OPTIONS = {
+    "mertens": [("--X", _int_from(2), 1000)],
+    "sieve": [("--N", _int_from(1), 1000), ("--y", _finite_float, 3.0), ("--z", _finite_float, 100.0)],
+    "pomerance": [
+        ("--N", _int_from(2), 1000), ("--C", _positive_float, None, "default 1; not with --sweep-C"),
+        ("--sweep-C", _positive_float_list, None, 'comma list of C values, e.g. "0.5,1,2"'),
+        ("--step", _int_from(1), None), _BUDGET,
+    ],
+    "lambda": [("--max", _int_from(2), 10), _BUDGET],
+    "prune-demo": [
+        ("--lo", _int_from(1), 4), ("--hi", int, 200), ("--y", _positive_float, 3.0), ("--z", _finite_float, 100.0),
+        ("--theta", str, "0"), ("--smooth-bound", _finite_float, None),
+        ("--omega-lo", _finite_float, -math.inf), ("--omega-hi", _finite_float, math.inf),
+    ],
+}
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="egyfrac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -404,7 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--arc-width", type=_finite_float, default=None, help="major-arc radius K (default min(A)/2)")
     p.add_argument("--out")
-    p.add_argument("--threads", type=_positive_int, default=1, help="accepted and ignored: the sum runs on one thread")
+    # --threads does nothing, but older command lines pass it, and it is still refused below 1
+    p.add_argument("--threads", type=_int_from(1), default=1, help="accepted and ignored: the sum runs on one thread")
     p.set_defaults(func=cmd_fourier)
 
     p = sub.add_parser("decompose", help="dump the prime-power class structure of a set file")
@@ -413,24 +424,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("experiment", help="run a named batch experiment")
-    p.add_argument("name", choices=_EXPERIMENTS)
-    p.add_argument("--out-dir", default=".")
-    p.add_argument("--X", type=int, default=1000)
-    p.add_argument("--N", type=int, default=1000)
-    p.add_argument("--y", type=_finite_float, default=3.0)
-    p.add_argument("--z", type=_finite_float, default=100.0)
-    p.add_argument("--C", type=_finite_float, default=1.0)
-    p.add_argument("--sweep-C", type=_finite_float_list, default=None, help='comma list of C values, e.g. "0.5,1,2"')
-    p.add_argument("--step", type=int, default=None)
-    p.add_argument("--budget", type=int, default=10_000_000)
-    p.add_argument("--max", type=int, default=10)
-    p.add_argument("--lo", type=int, default=4)
-    p.add_argument("--hi", type=int, default=200)
-    p.add_argument("--theta", default="0")
-    p.add_argument("--smooth-bound", type=_finite_float, default=None)
-    p.add_argument("--omega-lo", type=_finite_float, default=None)
-    p.add_argument("--omega-hi", type=_finite_float, default=None)
     p.set_defaults(func=cmd_experiment)
+    experiments = p.add_subparsers(dest="name", required=True, metavar="NAME")
+    for name, options in _EXPERIMENT_OPTIONS.items():
+        e = experiments.add_parser(name)
+        for flag, kind, default, *doc in [("--out-dir", str, "."), *options]:
+            e.add_argument(flag, type=kind, default=default, help=doc[0] if doc else None)
 
     return parser
 

@@ -262,10 +262,15 @@ def _walk(tables: np.ndarray, phases: tuple[np.ndarray, np.ndarray], A: IntSet, 
         yield _gathered_product(tables, phases, A, k, start, min(_CHUNK, h.stop - start))
 
 
-def _check_error_bound(m: int) -> None:
-    """Refuse a count over m elements whose a-priori error bound reaches 1/4."""
+def _admit(A: IntSet, k) -> tuple[int, int]:
+    """k and lcm(A).  Both entry points refuse in this one order, before any table
+    is built: k, then the lcm, then a count whose a-priori error bound reaches 1/4."""
+    k = positive_k(k)
+    L = _checked_lcm(A)
+    m = len(A)
     if _ERROR_C * m * 2**m >= 2**51:  # the bound reaches 1/4 = 2^51 u
         raise NumericalInstabilityError(f"{m} elements: float error bound {_ERROR_C}*{m}*2^({m}-53) >= 1/4")
+    return k, L
 
 
 def _count(A: IntSet, k: int, L: int) -> tuple[int, tuple[np.ndarray, np.ndarray], float, int]:
@@ -286,31 +291,28 @@ def _count(A: IntSet, k: int, L: int) -> tuple[int, tuple[np.ndarray, np.ndarray
 def fourier_count(A: SetLike, k: int) -> tuple[float, int]:
     """Count subsets with integral k * recip_sum via the orthogonality sum.
 
-    Returns (value, rounded).  Raises NumericalInstabilityError before summing
-    when the a-priori error bound reaches 1/4 (|A| >= 42), and after it unless
-    the value is within 0.25 of an integer.  Only the real part is summed:
-    the module docstring shows the imaginary part's bound.
+    Returns (value, rounded).  Refuses k, then the lcm, then a set too large
+    to certify, before summing: NumericalInstabilityError when the a-priori
+    error bound reaches 1/4 (|A| >= 42), and after summing unless the value
+    is within 0.25 of an integer.  Only the real part is summed: the module
+    docstring shows the imaginary part's bound.
     """
     A = as_intset(A)
-    _check_error_bound(len(A))
-    k = positive_k(k)
-    _, _, value, rounded = _count(A, k, _checked_lcm(A))
+    _, _, value, rounded = _count(A, *_admit(A, k))
     return value, rounded
 
 
 def arc_classify(A: SetLike, k: int, K: float) -> ArcDiagnostics:
     """Classify every nonzero frequency as major or minor and weigh it.
 
-    Raises ResourceLimitError past the lcm bound before fourier_count's
-    refusal of a set too large to certify, and before any work.  The mask
-    and the weights read k mod L, as the count does; the result keeps k.
+    Checks K, then refuses as fourier_count does and in its order (k, the
+    lcm, then a set too large to certify), before any work.  The mask and
+    the weights read k mod L, as the count does; the result keeps k.
     """
     A = as_intset(A)
     if not 0 <= K < math.inf:  # NaN would make every frequency minor, inf every one major and K non-JSON
         raise DomainError(f"arc radius K must be finite and >= 0, got {K!r}")
-    k = positive_k(k)
-    L = _checked_lcm(A)
-    _check_error_bound(len(A))
+    k, L = _admit(A, k)
     kr, phases, value, rounded = _count(A, k, L)
     # k*h mod L over J, exactly in integers; 2 min(r, L - r) <= K iff min(r, L - r) <= floor(K) // 2
     r = _frequencies(L)

@@ -232,6 +232,16 @@ def test_experiment_pomerance_sweep_verifies_n_max_once(tmp_path, monkeypatch, c
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("extra,named", [(["--step", "10"], "--step"), (["--C", "5"], "--C")], ids=["step", "C"])
+def test_experiment_pomerance_sweep_refuses_step_and_C(extra, named, tmp_path, capsys):
+    # the sweep reads neither option, and used to ignore them and exit 0
+    argv = ["experiment", "pomerance", "--N", "40", "--sweep-C", "1", *extra, "--out-dir", str(tmp_path)]
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert "--sweep-C" in err and named in err, err
+    assert not list(tmp_path.iterdir())
+
+
 def test_experiment_lambda(tmp_path, capsys):
     rc = main(["experiment", "lambda", "--max", "6", "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -443,6 +453,20 @@ def test_usage_errors_exit_64(argv, named, set_file, tmp_path, capsys):
     assert named is None or named in err, err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["lambda", "--N", "80"], ["mertens", "--max", "50"], ["sieve", "--budget", "5"], ["pomerance", "--theta", "1"],
+     ["prune-demo", "--X", "100"]],
+    ids=lambda argv: argv[0],
+)
+def test_experiment_refuses_an_option_it_does_not_read(argv, tmp_path, capsys):
+    # one flat parser used to take every experiment's options for all of them, and ignore the rest
+    assert main(["experiment", *argv, "--out-dir", str(tmp_path)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("egyfrac: error:") and argv[1] in err, err
+    assert not list(tmp_path.iterdir())
+
+
 def test_out_dir_env_naming_a_file_exits_64(set_file, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("EGYFRAC_OUT_DIR", str(set_file))
     assert main(["experiment", "mertens", "--X", "50", "--out-dir", str(tmp_path)]) == 64
@@ -455,19 +479,29 @@ def test_experiment_lambda_honours_budget(tmp_path, capsys):
     assert not (tmp_path / "lambda_8.csv").exists()
 
 
+def _subparsers(parser) -> dict:
+    return next((a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)), {})
+
+
 def test_readme_documents_every_cli_option():
-    # each subcommand's usage in README is its "egyfrac <command>" lines and their indented continuations
+    # each command's usage in README is its "egyfrac <command>" lines, keyed "experiment NAME" for an
+    # experiment, and their indented continuations
     usage: dict[str, str] = {}
     command = None
     for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
         if line.startswith("egyfrac "):
-            command = line.split()[1]
+            words = line.split()
+            command = " ".join(words[1:3]) if words[1] == "experiment" else words[1]
         elif not line.startswith(" "):
             command = None
         if command:
             usage[command] = usage.get(command, "") + line + "\n"
-    subparsers = next(a for a in egyfrac.cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    for name, sub in subparsers.choices.items():
+    commands = {}
+    for name, sub in _subparsers(egyfrac.cli._build_parser()).items():
+        commands[name] = sub
+        commands.update({f"{name} {inner}": p for inner, p in _subparsers(sub).items()})
+    assert {f"experiment {name}" for name in egyfrac.cli._EXPERIMENTS} <= set(commands)
+    for name, sub in commands.items():
         for action in sub._actions:
             for opt in action.option_strings:
                 if opt not in ("-h", "--help"):

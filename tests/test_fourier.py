@@ -92,6 +92,19 @@ def test_every_entry_point_refuses_past_the_lcm_bound_before_forming_products(mo
         arc_classify(divisors_above_one(720720)[:80], 1, 1.0)
 
 
+def test_both_entry_points_refuse_k_then_the_lcm_then_the_error_bound(monkeypatch):
+    # 2..99 fails all three checks, the 80 smallest divisors of 720720 only the error bound
+    _forbid_kernel(monkeypatch)
+    big, wide = range(2, 100), divisors_above_one(720720)[:80]
+    for call in (fourier_count, lambda A, k: arc_classify(A, k, 1.0)):
+        with pytest.raises(DomainError, match="^k must be a positive integer$"):
+            call(big, 0)
+        with pytest.raises(ResourceLimitError, match="exceeds bound"):
+            call(big, 1)
+        with pytest.raises(NumericalInstabilityError, match="float error bound"):
+            call(wide, 1)
+
+
 def test_lcm_check_stops_past_its_cap(monkeypatch):
     # the check folds 64 elements at a time and gives up past max(2^64, bound): the first
     # block of 2..12000 already has lcm(2..65), 90 bits, and no later block is folded;
